@@ -15,9 +15,11 @@ canonicalized away by ``digest_dir`` so the serial == parallel identity
 below still holds with worker counts recorded in meta.
 """
 
+import hashlib
+
 import pytest
 
-from ..helpers_golden import campaign_digest
+from ..helpers_golden import campaign_digest, digest_dir
 
 GOLDEN = {
     "az-serial": "af65d39727188aec652053f5288bbd6a8f49b36ccc4322e028382d27b8d21bef",
@@ -53,3 +55,62 @@ def test_serial_and_parallel_share_a_digest():
     across worker counts) is encoded in the constants."""
     assert GOLDEN["az-serial"] == GOLDEN["az-par2"]
     assert GOLDEN["az-lossy-serial"] == GOLDEN["az-lossy-par2"]
+
+
+# Persisted bytes the campaign goldens above do not reach: a
+# localization run directory and an observatory's fact store and unit
+# cache. Captured before the serializers moved to the dataclass codec;
+# the codec must write these files byte-for-byte as the hand-written
+# serializers did.
+PERSIST_GOLDEN = {
+    "localization": "20e2ba8d4df9bd7ebfcc0370180ebbe5e903a3e159525264216da25dcdf20004",
+    "facts": "a0613ad03d64e3f05bfa5c84c2ba0b900fc238dabafd68984d0d0939c4368b28",
+    "units": "0816612359e82c40d35ca3c007e80b9a621ee0f7be0f2c446c45300ab1ddee67",
+}
+
+
+def test_localization_directory_matches_golden(tmp_path):
+    from repro.experiments.localize_xval import run_cross_validation
+    from repro.persist import save_localization
+
+    report = run_cross_validation(seed=11)
+    out = tmp_path / "loc"
+    save_localization(
+        report.verdicts, report.evidence, out, xval=report.to_dict()
+    )
+    assert digest_dir(out) == PERSIST_GOLDEN["localization"]
+
+
+@pytest.fixture(scope="module")
+def observatory_dir(tmp_path_factory):
+    """The ``make epochs-smoke`` shape: KZ seed 11 scale 0.35, the
+    ingress device flipped drop -> rst -> blockpage over 3 epochs."""
+    from repro.devices.actions import KIND_BLOCKPAGE, KIND_RST
+    from repro.experiments.campaign import CampaignConfig
+    from repro.geo.drift import DriftOp, DriftPlan
+    from repro.store import run_observatory
+
+    plan = DriftPlan(name="smoke", ops=(
+        DriftOp(epoch=1, kind="firmware", target="dev16",
+                action_kind=KIND_RST),
+        DriftOp(epoch=2, kind="firmware", target="dev16",
+                action_kind=KIND_BLOCKPAGE),
+    ))
+    out = tmp_path_factory.mktemp("observatory")
+    run_observatory(
+        "KZ", out, epochs=3, seed=11, scale=0.35,
+        config=CampaignConfig(
+            repetitions=2, max_endpoints=4, fuzz_max_endpoints=2
+        ),
+        drift_plan=plan,
+    )
+    return out
+
+
+def test_fact_store_matches_golden(observatory_dir):
+    assert digest_dir(observatory_dir / "facts") == PERSIST_GOLDEN["facts"]
+
+
+def test_unit_cache_matches_golden(observatory_dir):
+    data = (observatory_dir / "units-cache" / "units.jsonl").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == PERSIST_GOLDEN["units"]
