@@ -30,11 +30,9 @@ from .geo.drift import DriftError
 from .netsim.faults import FaultPlan
 from .persist import (
     PersistError,
-    fuzz_report_to_dict,
-    probe_report_to_dict,
+    encode,
     save_campaign,
     save_localization,
-    trace_result_to_dict,
 )
 
 _WORLD_CACHE = {}
@@ -130,7 +128,7 @@ def cmd_centrace(args: argparse.Namespace) -> int:
         for ip in endpoint_ips
     ]
     if args.json:
-        print(json.dumps([trace_result_to_dict(r) for r in results], indent=2))
+        print(json.dumps([encode(r) for r in results], indent=2))
         return 0
     for result in results:
         print(result.brief())
@@ -162,7 +160,7 @@ def cmd_cenfuzz(args: argparse.Namespace) -> int:
         strategies=strategies,
     )
     if args.json:
-        print(json.dumps(fuzz_report_to_dict(report), indent=2))
+        print(json.dumps(encode(report), indent=2))
         return 0
     print(
         f"{domain} ({args.protocol}) -> {endpoint_ip}: "
@@ -190,7 +188,7 @@ def cmd_cenprobe(args: argparse.Namespace) -> int:
         ips = sorted(set(world.device_host_ip.values()))
     reports = prober.scan_many(ips)
     if args.json:
-        print(json.dumps([probe_report_to_dict(r) for r in reports], indent=2))
+        print(json.dumps([encode(r) for r in reports], indent=2))
         return 0
     for report in reports:
         ports = ",".join(map(str, report.open_ports)) or "-"

@@ -42,7 +42,6 @@ from ..geo.drift import DriftPlan, ops_touching, unit_touchpoints
 from ..persist import (
     UnitCache,
     unit_cache_key,
-    unit_result_from_dict,
     unit_result_to_dict,
 )
 from ..telemetry import NULL_TELEMETRY
@@ -187,7 +186,7 @@ class EpochScheduler:
         for index, key in enumerate(keys):
             entry = self.cache.get(key) if self.cache is not None else None
             if entry is not None and entry["kind"] == kind:
-                results[index] = unit_result_from_dict(kind, entry["payload"])
+                results[index] = self.cache.result(key)
             else:
                 miss_indices.append(index)
         miss_units = [units[i] for i in miss_indices]

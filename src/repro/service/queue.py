@@ -48,7 +48,6 @@ from ..geo.countries import StudyWorld
 from ..persist import (
     UnitCache,
     unit_cache_key,
-    unit_result_from_dict,
     unit_result_to_dict,
 )
 from ..telemetry import RunReport, Telemetry, wall_now
@@ -332,9 +331,10 @@ class CampaignService:
     ) -> Optional[_UnitState]:
         """A DONE state rebuilt from the persistent cache, or None."""
         kind = kind_of(unit)
-        entry = self._cache.get(
-            self._persist_key(request.world, kind, unit, request.repetitions)
+        persist_key = self._persist_key(
+            request.world, kind, unit, request.repetitions
         )
+        entry = self._cache.get(persist_key)
         if entry is None or entry["kind"] != kind:
             return None
         self.telemetry.count("service.cache_restored")
@@ -350,7 +350,7 @@ class CampaignService:
             status=_DONE,
         )
         state.payload = entry["payload"]
-        state.result = unit_result_from_dict(kind, entry["payload"])
+        state.result = self._cache.result(persist_key)
         self._states[key] = state
         return state
 

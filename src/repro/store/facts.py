@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
-from ..persist import PersistError, read_jsonl as _read_jsonl
+from ..persist import PersistError, decode, encode, read_jsonl as _read_jsonl
 from ..telemetry import NULL_TELEMETRY
 from .records import Fact
 
@@ -41,7 +41,7 @@ class FactInterval:
     valid_to: int  # inclusive; == latest observed epoch => still valid
 
     def to_dict(self) -> Dict:
-        out = self.fact.to_dict()
+        out = encode(self.fact)
         out["valid_from"] = self.valid_from
         out["valid_to"] = self.valid_to
         return out
@@ -101,8 +101,8 @@ class FactStore:
         for record in _read_jsonl(facts_path):
             try:
                 epoch = int(record["epoch"])
-                fact = Fact.from_dict(record)
-            except (KeyError, TypeError, ValueError) as exc:
+                fact = decode(Fact, record)
+            except (PersistError, KeyError, TypeError, ValueError) as exc:
                 raise PersistError(
                     f"corrupt fact record in {facts_path}: {exc}"
                 ) from None
@@ -128,7 +128,7 @@ class FactStore:
         )
         with (self.directory / self.FACTS).open("a") as handle:
             for fact in unique:
-                record = fact.to_dict()
+                record = encode(fact)
                 record["epoch"] = epoch
                 handle.write(json.dumps(record, ensure_ascii=False) + "\n")
         with (self.directory / self.EPOCHS).open("a") as handle:

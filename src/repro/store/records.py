@@ -12,7 +12,6 @@ intervals are derived at query time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 # Predicates ----------------------------------------------------------------
 
@@ -63,18 +62,3 @@ class Fact:
     subject: str
     predicate: str
     object: str
-
-    def to_dict(self) -> Dict:
-        return {
-            "subject": self.subject,
-            "predicate": self.predicate,
-            "object": self.object,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "Fact":
-        return cls(
-            subject=data["subject"],
-            predicate=data["predicate"],
-            object=data["object"],
-        )

@@ -282,6 +282,24 @@ class TestRestartPersistence:
             json.dumps(r.payload, sort_keys=True) for r in first_results
         ]
 
+    def test_malformed_cached_payload_is_typed_error(self, tmp_path):
+        import re
+
+        from repro.persist import PersistError, UnitCache
+
+        cache_dir = tmp_path / "cache"
+        self._run_service(cache_dir)
+        path = cache_dir / UnitCache.FILENAME
+        lines = path.read_text().splitlines()
+        entry = json.loads(lines[0])
+        del entry["payload"]["endpoint_ip"]
+        lines[0] = json.dumps(entry)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(PersistError, match=re.escape(
+            f"{path} at line 1: "
+        ) + ".*lacks key 'endpoint_ip'"):
+            self._run_service(cache_dir)
+
     def test_no_cache_dir_keeps_memory_only_behavior(self, tmp_path):
         async def main():
             async with CampaignService() as service:

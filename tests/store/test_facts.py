@@ -10,7 +10,7 @@ from repro.cli import main
 from repro.devices.actions import KIND_BLOCKPAGE, KIND_RST
 from repro.experiments.campaign import CampaignConfig
 from repro.geo.drift import DriftOp, DriftPlan
-from repro.persist import PersistError
+from repro.persist import PersistError, encode
 from repro.store import (
     Fact,
     FactStore,
@@ -52,10 +52,22 @@ class TestFactStore:
     def test_unmanifested_facts_rejected(self, tmp_path):
         store = FactStore(tmp_path)
         store.append_epoch(0, [fact()])
-        record = dict(fact().to_dict(), epoch=9)
+        record = dict(encode(fact()), epoch=9)
         with (tmp_path / FactStore.FACTS).open("a") as handle:
             handle.write(json.dumps(record) + "\n")
         with pytest.raises(PersistError, match="never recorded"):
+            FactStore(tmp_path)
+
+    @pytest.mark.parametrize("line", [
+        '{"subject": "as:1", "predicate": "named", "epoch": 0}',
+        '[["as:1", "named", "x"], 0]',
+    ])
+    def test_corrupt_fact_record_rejected(self, tmp_path, line):
+        store = FactStore(tmp_path)
+        store.append_epoch(0, [fact()])
+        with (tmp_path / FactStore.FACTS).open("a") as handle:
+            handle.write(line + "\n")
+        with pytest.raises(PersistError, match="corrupt fact record in"):
             FactStore(tmp_path)
 
     def test_corrupt_manifest_rejected(self, tmp_path):

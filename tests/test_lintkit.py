@@ -593,7 +593,6 @@ class TestFramework:
             "RP401",
             "RP501",
             "RP601",
-            "RP701",
             "RP801",
             "RP901",
         } <= ids

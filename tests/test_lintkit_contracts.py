@@ -1,7 +1,6 @@
 """Phase-2 cross-module rule families: the telemetry registry contract
-(RP601-RP603), serializer schema drift (RP701-RP703), async safety in
-the campaign service (RP801-RP802), the typed-error contract
-(RP901-RP902), and stale-pragma detection (RP001). Each rule has a
+(RP601-RP603), async safety in the campaign service (RP801-RP802), the
+typed-error contract (RP901-RP902), and stale-pragma detection (RP001). Each rule has a
 violating fixture and the real tree holds a per-family clean gate.
 """
 
@@ -137,133 +136,6 @@ class TestTelemetryRegistry:
             [REPO_ROOT / "src"],
             root=REPO_ROOT,
             select=["RP601", "RP602", "RP603"],
-        )
-        assert violations == []
-
-
-# ---------------------------------------------------------------------------
-# RP701-RP703 serializer drift
-
-
-DATACLASS_SRC = (
-    "from dataclasses import dataclass\n"
-    "from typing import Dict\n"
-    "@dataclass\n"
-    "class Rec:\n"
-    "    a: int\n"
-    "    b: str\n"
-)
-
-
-class TestSerializerDrift:
-    def test_dropped_field_flagged(self, tmp_path):
-        found = lint_module(
-            tmp_path,
-            "repro.codec",
-            DATACLASS_SRC
-            + "def rec_to_dict(rec: Rec) -> Dict:\n"
-            "    return {'a': rec.a}\n",
-            select=["RP701"],
-        )
-        assert rule_ids(found) == ["RP701"]
-        assert "Rec.b" in found[0].message
-
-    def test_declared_exclusion_clean(self, tmp_path):
-        found = lint_module(
-            tmp_path,
-            "repro.codec",
-            DATACLASS_SRC
-            + "SERIALIZER_EXCLUDED_FIELDS = {'rec': ('b',)}\n"
-            "def rec_to_dict(rec: Rec) -> Dict:\n"
-            "    return {'a': rec.a}\n",
-            select=["RP701"],
-        )
-        assert found == []
-
-    def test_written_but_never_read_flagged(self, tmp_path):
-        found = lint_module(
-            tmp_path,
-            "repro.codec",
-            DATACLASS_SRC
-            + "def rec_to_dict(rec: Rec) -> Dict:\n"
-            "    return {'a': rec.a, 'b': rec.b, 'version': 1}\n"
-            "def rec_from_dict(data: Dict) -> Rec:\n"
-            "    return Rec(a=data['a'], b='')\n",
-            select=["RP702"],
-        )
-        assert rule_ids(found) == ["RP702"]
-        assert "'b'" in found[0].message and "never read" in found[0].message
-
-    def test_read_but_never_written_flagged(self, tmp_path):
-        found = lint_module(
-            tmp_path,
-            "repro.codec",
-            DATACLASS_SRC
-            + "SERIALIZER_EXCLUDED_FIELDS = {'rec': ('b',)}\n"
-            "def rec_to_dict(rec: Rec) -> Dict:\n"
-            "    return {'a': rec.a}\n"
-            "def rec_from_dict(data: Dict) -> Rec:\n"
-            "    return Rec(a=data['a'], b=data.get('b', ''))\n",
-            select=["RP702"],
-        )
-        assert rule_ids(found) == ["RP702"]
-        assert "never written" in found[0].message
-
-    def test_symmetric_pair_with_version_meta_clean(self, tmp_path):
-        found = lint_module(
-            tmp_path,
-            "repro.codec",
-            DATACLASS_SRC
-            + "def rec_to_dict(rec: Rec) -> Dict:\n"
-            "    return {'a': rec.a, 'b': rec.b, 'version': 1}\n"
-            "def rec_from_dict(data: Dict) -> Rec:\n"
-            "    return Rec(a=data['a'], b=data.get('b', ''))\n",
-            select=["RP701", "RP702", "RP703"],
-        )
-        assert found == []
-
-    def test_unknown_key_flagged(self, tmp_path):
-        found = lint_module(
-            tmp_path,
-            "repro.codec",
-            DATACLASS_SRC
-            + "def rec_to_dict(rec: Rec) -> Dict:\n"
-            "    return {'a': rec.a, 'b': rec.b, 'bb': rec.b}\n",
-            select=["RP703"],
-        )
-        assert rule_ids(found) == ["RP703"]
-        assert "'bb'" in found[0].message
-
-    def test_accumulator_variable_writes_counted(self, tmp_path):
-        # data = {...}; data['b'] = ...; return data
-        found = lint_module(
-            tmp_path,
-            "repro.codec",
-            DATACLASS_SRC
-            + "def rec_to_dict(rec: Rec) -> Dict:\n"
-            "    data = {'a': rec.a}\n"
-            "    data['b'] = rec.b\n"
-            "    return data\n",
-            select=["RP701"],
-        )
-        assert found == []
-
-    def test_dispatcher_without_dataclass_skipped(self, tmp_path):
-        found = lint_module(
-            tmp_path,
-            "repro.codec",
-            "from typing import Dict\n"
-            "def unit_to_dict(kind: str, result) -> Dict:\n"
-            "    return {'kind': kind}\n",
-            select=["RP701", "RP702", "RP703"],
-        )
-        assert found == []
-
-    def test_real_tree_clean(self):
-        violations, _ = lintkit.lint(
-            [REPO_ROOT / "src"],
-            root=REPO_ROOT,
-            select=["RP701", "RP702", "RP703"],
         )
         assert violations == []
 

@@ -1,6 +1,5 @@
 """Phase 1 of the two-phase analyzer: the ProjectIndex (symbol
-resolution across relative imports and re-exports, dataclass field
-inventories with inheritance and slots, telemetry call-site
+resolution across relative imports and re-exports, telemetry call-site
 collection, build determinism) — plus the walker's unparseable-file
 diagnostics and the --baseline diff contract the CI job relies on.
 """
@@ -99,94 +98,6 @@ class TestSymbolResolution:
         assert resolve_relative("repro.mod", False, 0, "os.path") == "os.path"
         # Relative level reaching above the package root is unresolvable.
         assert resolve_relative("repro", False, 3, "x") is None
-
-
-# ---------------------------------------------------------------------------
-# dataclass field inventories
-
-
-class TestDataclassFields:
-    def test_inherited_fields_across_modules(self, tmp_path):
-        write_module(
-            tmp_path,
-            "repro.base",
-            "from dataclasses import dataclass\n"
-            "@dataclass\n"
-            "class Base:\n"
-            "    a: int\n"
-            "    b: str = 'x'\n",
-        )
-        write_module(
-            tmp_path,
-            "repro.child",
-            "from dataclasses import dataclass\n"
-            "from repro.base import Base\n"
-            "@dataclass\n"
-            "class Child(Base):\n"
-            "    c: float = 0.0\n",
-        )
-        index = build_index(tmp_path)
-        assert index.dataclass_fields("repro.child", "Child") == (
-            "a",
-            "b",
-            "c",
-        )
-
-    def test_slots_dataclass_inventoried(self, tmp_path):
-        write_module(
-            tmp_path,
-            "repro.mod",
-            "from dataclasses import dataclass\n"
-            "@dataclass(frozen=True, slots=True)\n"
-            "class Point:\n"
-            "    x: int\n"
-            "    y: int\n",
-        )
-        index = build_index(tmp_path)
-        assert index.dataclass_fields("repro.mod", "Point") == ("x", "y")
-
-    def test_classvar_and_initvar_excluded(self, tmp_path):
-        write_module(
-            tmp_path,
-            "repro.mod",
-            "from dataclasses import dataclass, InitVar\n"
-            "from typing import ClassVar\n"
-            "@dataclass\n"
-            "class C:\n"
-            "    a: int\n"
-            "    table: ClassVar[dict] = {}\n"
-            "    seed: InitVar[int] = 0\n",
-        )
-        index = build_index(tmp_path)
-        assert index.dataclass_fields("repro.mod", "C") == ("a",)
-
-    def test_reannotated_field_keeps_base_position(self, tmp_path):
-        # dataclasses.fields ordering: a re-annotated inherited field
-        # stays where the base declared it.
-        write_module(
-            tmp_path,
-            "repro.mod",
-            "from dataclasses import dataclass\n"
-            "@dataclass\n"
-            "class Base:\n"
-            "    a: int = 0\n"
-            "    b: int = 0\n"
-            "@dataclass\n"
-            "class Child(Base):\n"
-            "    a: float = 0.0\n"
-            "    c: int = 0\n",
-        )
-        index = build_index(tmp_path)
-        assert index.dataclass_fields("repro.mod", "Child") == (
-            "a",
-            "b",
-            "c",
-        )
-
-    def test_non_dataclass_is_none(self, tmp_path):
-        write_module(tmp_path, "repro.mod", "class Plain:\n    a: int\n")
-        index = build_index(tmp_path)
-        assert index.dataclass_fields("repro.mod", "Plain") is None
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ def main(argv=None) -> int:
         prog="python -m tools.lintkit",
         description="Two-phase AST invariant linter (determinism, RNG "
         "discipline, iteration order, layering, shared state, telemetry "
-        "registry, serializer drift, async safety, error contracts).",
+        "registry, async safety, error contracts).",
     )
     parser.add_argument(
         "paths",

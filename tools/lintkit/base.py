@@ -9,8 +9,7 @@ Rules come in three flavours:
   invariants (the import DAG, cycle detection).
 * :class:`IndexRule` — phase-2 passes that consume the shared
   :class:`~tools.lintkit.index.ProjectIndex` built once per run
-  (symbol tables, resolved imports, dataclass field inventories,
-  telemetry call sites).
+  (symbol tables, resolved imports, telemetry call sites).
 
 Every violation can be suppressed at the offending line with a pragma
 comment (``# lint: ignore[RP101] -- justification here`` on the line,
