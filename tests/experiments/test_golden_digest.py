@@ -27,6 +27,19 @@ GOLDEN = {
     "az-lossy-serial": "62962b5cddf7f5203bd50921c99ffdde38cfacb1337cd1ea502c2168ec9b8bab",
     "az-lossy-par2": "62962b5cddf7f5203bd50921c99ffdde38cfacb1337cd1ea502c2168ec9b8bab",
     "kz-serial": "68ede6f269f27461938794737d92937521b5667d76cc97fd816aa764edf6ff01",
+    # One per non-``none`` fault preset (``lossy`` is pinned above), and
+    # BY clean and under ``chaos``: AZ and KZ campaigns never inject,
+    # BY's devices do, so these two cover reverse walks of forgeries
+    # under per-link loss. Captured on the two-engine walk, before
+    # fault plans moved onto the compiled-plan walk.
+    "az-light-serial": "f53898290f3051503a6d783982d801db6f8c9219c10c6e1e0e09aa086d9b74c6",
+    "az-ratelimit-serial": "37c52bb18cce37f739df7bb5f9631912becb878b7aca298dd2ec63d6a06b6b9e",
+    "az-churn-serial": "485213acd8bebfe536c2a8ba95ae18cca05c6700ef6b55ebb0d2a02ce7718cb6",
+    "az-flaky-serial": "61e1a0c81c6f370c9735817f9db12de2bf609585c4c2277409f2c7ed208b7278",
+    "az-duplicate-serial": "93dff53c50d50dfad8b6c906a94fdab1250da4eaa8b5065edc29e265dc914bff",
+    "az-chaos-serial": "149bf84cb6447e5bd62331a8e7b5eb43adcadecc2faa500de43251a35a5017b4",
+    "by-serial": "a932910aa485ee39b9c31ebb1d577a8edfc18d8a5d82c0222c0fad662267f8ea",
+    "by-chaos-serial": "ad22218c72c1a3989bcbe26243385a07ed14a330e57498bb3f74928d84a425a5",
 }
 
 CASES = [
@@ -35,6 +48,12 @@ CASES = [
     ("AZ", 7, None, "az-lossy-serial", "lossy"),
     ("AZ", 7, 2, "az-lossy-par2", "lossy"),
     ("KZ", 11, None, "kz-serial", None),
+] + [
+    ("AZ", 7, None, f"az-{preset}-serial", preset)
+    for preset in ("light", "ratelimit", "churn", "flaky", "duplicate", "chaos")
+] + [
+    ("BY", 7, None, "by-serial", None),
+    ("BY", 7, None, "by-chaos-serial", "chaos"),
 ]
 
 
@@ -55,6 +74,14 @@ def test_serial_and_parallel_share_a_digest():
     across worker counts) is encoded in the constants."""
     assert GOLDEN["az-serial"] == GOLDEN["az-par2"]
     assert GOLDEN["az-lossy-serial"] == GOLDEN["az-lossy-par2"]
+
+
+def test_every_fault_preset_is_goldened():
+    from repro.netsim.faults import PRESETS
+
+    assert {f"az-{name}-serial" for name in PRESETS if name != "none"} <= set(
+        GOLDEN
+    )
 
 
 # Persisted bytes the campaign goldens above do not reach: a
