@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-update chaos lint serve-smoke epochs-smoke localize-smoke
+.PHONY: test bench chaos lint serve-smoke epochs-smoke localize-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -60,11 +60,8 @@ localize-smoke:
 chaos:
 	$(PYTHON) -m pytest -q -m chaos --runslow
 
-# Perf regression gate: measures probe throughput + serial-vs-parallel
-# campaign timing, fails on >20% throughput regression against the
-# committed benchmarks/BENCH_campaign.json.
+# The performance benchmark (perfbench/, declared in BENCHMARK.json):
+# every workload, one process each, reporting end-to-end metrics with
+# their spread and checking each workload's pinned output digest.
 bench:
-	$(PYTHON) -m benchmarks
-
-bench-update:
-	$(PYTHON) -m benchmarks --update
+	$(PYTHON) perfbench/run.py --workload all --seconds 10

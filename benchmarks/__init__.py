@@ -1,5 +1,5 @@
 """Benchmark suite: table/figure regenerations plus perf tracking.
 
-Run `python -m benchmarks` (or `make bench`) for the regression gate,
-or `PYTHONPATH=src python -m pytest benchmarks/` for the full suite.
+Run `PYTHONPATH=src python -m pytest benchmarks/` for the full suite;
+the performance benchmark is `perfbench/` (`make bench`).
 """

@@ -8,7 +8,6 @@ after a quiet run.
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
@@ -57,25 +56,3 @@ def report():
 def run_once(benchmark, fn):
     """Run ``fn`` exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)
-
-
-# -- campaign-performance record --------------------------------------------
-
-# Filled by the (slow) parallel-campaign bench in test_perf.py; written
-# out at session end so CI and `python -m benchmarks` can compare runs
-# against the committed benchmarks/BENCH_campaign.json baseline.
-_CAMPAIGN_BENCH: dict = {}
-
-
-@pytest.fixture(scope="session")
-def campaign_bench_record():
-    return _CAMPAIGN_BENCH
-
-
-def pytest_sessionfinish(session, exitstatus):
-    if _CAMPAIGN_BENCH:
-        OUTPUT_DIR.mkdir(exist_ok=True)
-        path = OUTPUT_DIR / "BENCH_campaign.json"
-        path.write_text(
-            json.dumps(_CAMPAIGN_BENCH, indent=2, sort_keys=True) + "\n"
-        )

@@ -41,49 +41,9 @@ def _world(with_device=True):
     return Simulator(topo, seed=1), client, endpoint
 
 
-def _dns_world():
-    """A resolver endpoint behind 8 routers (the UDP ladder target)."""
-    from repro.services.dnsresolver import DNSResolver
-
-    topo = Topology("perf-dns")
-    client = topo.add_client(Client("c", "100.64.0.1", asn=1))
-    routers = [
-        topo.add_router(Router(f"r{i}", f"100.71.{i}.1", asn=2))
-        for i in range(8)
-    ]
-    endpoint = topo.add_endpoint(
-        Endpoint(
-            "e",
-            "100.96.0.1",
-            asn=9,
-            resolver=DNSResolver(zone={"ok.example": "93.184.216.34"}),
-            services={53: "dns"},
-        )
-    )
-    hops = [Hop(r.name) for r in routers]
-    hops.append(Hop(endpoint.name))
-    topo.add_route(client.ip, endpoint.ip, Route([Path(hops)]))
-    return Simulator(topo, seed=1), client, endpoint
-
-
 def test_perf_probe_roundtrip(benchmark):
     """One TTL-limited probe over a fresh connection (the unit CenTrace
-    spends thousands of), through the batched packet plane."""
-    sim, client, endpoint = _world(with_device=False)
-    engine = sim.batch_engine()
-    payload = HTTPRequest.normal("ok.example").build()
-
-    def probe():
-        conn = open_connection(sim, client, endpoint.ip, 80, engine=engine)
-        conn.send_payload(payload, ttl=4)
-        conn.close()
-
-    benchmark(probe)
-
-
-def test_perf_probe_roundtrip_scalar(benchmark):
-    """The same probe on the scalar engine (the batched path's
-    reference point)."""
+    spends thousands of)."""
     sim, client, endpoint = _world(with_device=False)
     payload = HTTPRequest.normal("ok.example").build()
 
@@ -93,21 +53,6 @@ def test_perf_probe_roundtrip_scalar(benchmark):
         conn.close()
 
     benchmark(probe)
-
-
-def test_perf_udp_ladder_batched(benchmark):
-    """One batched TTL ladder (12 UDP probes) through run_udp_ladder —
-    the array fast path where packets are materialized lazily."""
-    sim, client, endpoint = _dns_world()
-    engine = sim.batch_engine()
-    ttls = list(range(1, 13))
-
-    def ladder():
-        engine.run_udp_ladder(
-            client.ip, endpoint.ip, 53, ttls, lambda sport: b"\x12\x34q"
-        )
-
-    benchmark(ladder)
 
 
 def test_perf_centrace_measurement(benchmark):
@@ -144,12 +89,11 @@ def test_perf_clienthello_roundtrip(benchmark):
 
 
 @pytest.mark.slow
-def test_perf_campaign_serial_vs_parallel(tmp_path, campaign_bench_record):
+def test_perf_campaign_serial_vs_parallel(tmp_path):
     """Full campaign, serial vs 4 workers: timing and bit-identity.
 
-    Scale via REPRO_BENCH_SCALE (1.0 = paper-scale). Timings land in
-    benchmarks/output/BENCH_campaign.json; compare against the
-    committed benchmarks/BENCH_campaign.json via `make bench`.
+    Scale via REPRO_BENCH_SCALE (1.0 = paper-scale); the timings are
+    printed (run with ``-s``).
     """
     import hashlib
     import json
@@ -182,18 +126,16 @@ def test_perf_campaign_serial_vs_parallel(tmp_path, campaign_bench_record):
     assert serial_digest == parallel_digest  # bit-identical, always
     assert campaign.remote_results
 
-    campaign_bench_record.update(
-        {
-            "country": "RU",
-            "scale": BENCH_SCALE,
-            "repetitions": BENCH_REPETITIONS,
-            "trace_measurements": len(campaign.all_trace_results()),
-            "fuzz_reports": len(campaign.fuzz_reports),
-            "serial_s": round(serial_s, 3),
-            "workers_4_s": round(parallel_s, 3),
-            "speedup_x4": round(serial_s / parallel_s, 3),
-            "cpus": os.cpu_count(),
-        }
-    )
+    record = {
+        "country": "RU",
+        "scale": BENCH_SCALE,
+        "repetitions": BENCH_REPETITIONS,
+        "trace_measurements": len(campaign.all_trace_results()),
+        "fuzz_reports": len(campaign.fuzz_reports),
+        "serial_s": round(serial_s, 3),
+        "workers_4_s": round(parallel_s, 3),
+        "speedup_x4": round(serial_s / parallel_s, 3),
+        "cpus": os.cpu_count(),
+    }
     print()
-    print(json.dumps(campaign_bench_record, indent=2, sort_keys=True))
+    print(json.dumps(record, indent=2, sort_keys=True))

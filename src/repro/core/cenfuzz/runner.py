@@ -146,9 +146,6 @@ class CenFuzz:
         self.client = client
         self.config = config or CenFuzzConfig()
         self.matcher = matcher or DEFAULT_MATCHER
-        # Probe traffic rides the batched packet plane (scalar fallback
-        # applies automatically for worlds it cannot fast-path).
-        self.engine = sim.batch_engine()
         self._strategies = all_strategies()
         # Built payload per (permutation, domain): permutation builders
         # are deterministic and every endpoint re-sends the same fuzzed
@@ -180,14 +177,10 @@ class CenFuzz:
         if tel.enabled:
             tel.count("cenfuzz.probes")
         port = cfg.http_port if permutation.protocol == PROTO_HTTP else cfg.tls_port
-        conn = open_connection(
-            self.sim, self.client, endpoint_ip, port, engine=self.engine
-        )
+        conn = open_connection(self.sim, self.client, endpoint_ip, port)
         if conn is None:
             self.sim.advance(cfg.wait_after_block)
-            conn = open_connection(
-                self.sim, self.client, endpoint_ip, port, engine=self.engine
-            )
+            conn = open_connection(self.sim, self.client, endpoint_ip, port)
             if conn is None:
                 if tel.enabled:
                     tel.count("cenfuzz.handshake_failures")
@@ -303,7 +296,7 @@ class CenFuzz:
             endpoint_ip=endpoint_ip, test_domain=test_domain, protocol=protocol
         )
         with self.sim.telemetry.span("cenfuzz.endpoint", sim=self.sim), \
-                self.engine.batch("cenfuzz.endpoint"):
+                self.sim.batch_engine().batch("cenfuzz.endpoint"):
             normal = normal_permutation(protocol)
             report.normal_test = self.probe(endpoint_ip, normal, test_domain)
             report.normal_control = self.probe(

@@ -139,10 +139,6 @@ class CenTrace:
         self.asdb = asdb
         self.config = config or CenTraceConfig()
         self.matcher = blockpage_matcher or DEFAULT_MATCHER
-        # All probe traffic goes through the batched packet plane; the
-        # engine transparently falls back to the scalar walk for worlds
-        # it cannot fast-path (fault plans, capture, devices mid-path).
-        self.engine = sim.batch_engine()
 
     # -- public API -------------------------------------------------------
 
@@ -206,7 +202,7 @@ class CenTrace:
         streak_start_ttl = 0
         past_terminating = 0
         with self.sim.telemetry.span("centrace.sweep", sim=self.sim), \
-                self.engine.batch("centrace.sweep"):
+                self.sim.batch_engine().batch("centrace.sweep"):
             for ttl in range(1, cfg.max_ttl + 1):
                 if protocol == PROTO_DNS:
                     probe = self._probe_dns(endpoint_ip, domain, ttl)
@@ -258,16 +254,12 @@ class CenTrace:
         self, endpoint_ip: str, port: int, payload: bytes, ttl: int
     ) -> ProbeObservation:
         """One TTL-limited probe over a fresh TCP connection."""
-        conn = open_connection(
-            self.sim, self.client, endpoint_ip, port, engine=self.engine
-        )
+        conn = open_connection(self.sim, self.client, endpoint_ip, port)
         if conn is None:
             # Likely residual censorship from the previous probe: wait
             # it out once and retry before recording a failure.
             self.sim.advance(self.config.wait_after_block)
-            conn = open_connection(
-                self.sim, self.client, endpoint_ip, port, engine=self.engine
-            )
+            conn = open_connection(self.sim, self.client, endpoint_ip, port)
             if conn is None:
                 return ProbeObservation(ttl=ttl, handshake_failed=True)
         result = conn.send_payload(
@@ -321,7 +313,7 @@ class CenTrace:
             )
             sent_bytes = packet.to_bytes()
             retries_used = attempt
-            received = self.engine.send(packet, wire_bytes=sent_bytes)
+            received = self.sim.batch_engine().send(packet, wire_bytes=sent_bytes)
             if received:
                 break
             if attempt < cfg.probe_retries and wait > 0:

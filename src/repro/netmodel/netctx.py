@@ -89,30 +89,6 @@ class NetContext:
             (port - self.EPHEMERAL_BASE) % self.EPHEMERAL_SPAN
         )
 
-    # -- bulk allocation (the batched packet plane) --------------------
-
-    def take_ip_ids(self, count: int) -> list:
-        """``count`` sequential IP IDs, identical to ``count`` calls of
-        :meth:`next_ip_id`.
-
-        The batch engine allocates identifier blocks up front for probes
-        it materializes lazily; bulk draws must stay bit-identical with
-        the per-call stream so batched and scalar runs interleave
-        allocations the same way.
-        """
-        start = self._ip_id
-        self._ip_id = start + count
-        return [(start + i) & 0xFFFF for i in range(count)]
-
-    def take_ephemeral_ports(self, count: int) -> list:
-        """``count`` sequential source ports, identical to ``count``
-        calls of :meth:`next_ephemeral_port`."""
-        base = self.EPHEMERAL_BASE
-        span = self.EPHEMERAL_SPAN
-        start = self._ephemeral
-        self._ephemeral = start + count
-        return [base + ((start + i - base) % span) for i in range(count)]
-
     def next_sequential_ip_id(self) -> int:
         """The shared IPID_SEQUENTIAL stream of injecting devices."""
         self._sequential_ip_id = (self._sequential_ip_id + 1) & 0xFFFF

@@ -1,42 +1,44 @@
-"""Batched packet-plane fast path: compiled path plans + array ladders.
+"""The packet plane: compiled path plans and the one hop walk.
 
-The unified transit engine (:meth:`Simulator._run_transit`) walks one
-packet at a time, paying the full staged hop loop — loss roll, device
-stage, node arrival — at every hop even though the vast majority of
-hops are pure routers whose only observable effects are a TTL decrement
-and (possibly) one loss draw. This module removes that per-hop
-interpretation for the common case while reproducing the scalar walk's
-observable behaviour *exactly*:
+Every packet the simulator moves — client probes, router ICMP errors,
+endpoint replies, and device forgeries in either direction — walks a
+:class:`PathPlan`. A plan compiles a :class:`~repro.netsim.routing.Path`
+once into flat per-hop arrays (router flags, cumulative router counts,
+device attachment points, header-rewrite sites, the terminal hop), so a
+walk resolves its terminal event arithmetically and only stops at
+*event* hops; the pure routers between them cost nothing but their loss
+rolls.
 
-* :class:`PathPlan` compiles a :class:`~repro.netsim.routing.Path` once
-  into flat per-hop arrays — router flags, cumulative router counts,
-  device attachment points, header-rewrite sites, the terminal hop —
-  so a walk only has to visit its *event* hops (devices, TTL expiry,
-  the endpoint) and can resolve everything between them arithmetically.
-* :class:`BatchEngine.send` is a drop-in replacement for
-  :meth:`Simulator.send_from_client` that walks the plan instead of the
-  hop list. Uniform loss draws are taken from the simulator's RNG in
-  tight in-order loops (one draw per link crossed, exactly the scalar
-  draw order), so the RNG stream stays bit-identical. Full
-  :class:`~repro.netmodel.packet.Packet` clones are materialized
-  lazily — only when a device inspects the packet or a header rewrite
-  / TTL field actually has to differ from the caller's packet.
-* :meth:`BatchEngine.run_udp_ladder` batches a whole TTL ladder of
-  independent single-packet probes as parallel arrays (TTLs, source
-  ports, IP IDs, loss fates), materializing a packet only for probes
-  whose terminal event needs one (a responding router's ICMP quote, an
-  endpoint delivery). Lost probes and silent-router expiries consume
-  their identifier allocations — keeping the NetContext streams
-  bit-identical with the scalar loop — without ever building a packet.
+Events of a client probe's walk, in order:
 
-Anything the fast path does not cover falls back *transparently* to the
-scalar engine (``sim.send_from_client`` / ``_run_transit``): fault
-plans (per-link loss profiles, ICMP rate limiting, path churn, flaky
-devices, delivery shaping), capture mode, and injected-to-server
-continuations mid-walk. Correctness therefore never depends on batch
-coverage; the batch hit rate is visible via the
-``sim.batch_fast_path`` / ``sim.batch_scalar_fallback`` counters and
-the per-batch ``sim.batch`` size events.
+* **path selection** — the clock advances one ``per_packet_time``; a
+  churn plan counts the send and may re-hash (``note_client_packet``),
+  then the route picks a path under the epoch's ``path_seed``;
+* **link loss** — one roll per link crossed, in walk order: uniform
+  ``loss_rate`` draws come from the simulator's RNG; a fault plan's
+  ``LossProfile`` replaces them with per-link rates drawn from the
+  fault RNG, and a zero-rate link draws nothing;
+* **device hops** — each device on the link first rolls its flaky fate
+  (fail-open skips inspection, fail-closed swallows in-path traffic),
+  then inspects; its injections walk at once and an in-path drop ends
+  the walk;
+* **expiry** — the router where the TTL runs out answers with ICMP Time
+  Exceeded unless it never responds (``responds_icmp``) or its token
+  bucket is empty (ICMP rate limiting); the reply walks back;
+* **delivery** — the endpoint's resolver or TCP stack answers; each
+  reply walks back;
+* **delivery shaping** — after the walk, duplication and reordering of
+  the packets that reached the client.
+
+Return traffic rolls every link including the final one into the
+client, and dies silently on TTL expiry. A forgery toward the server
+walks on from its device's link: no roll on that link, router header
+rewrites apply, expiry is silent, and it meets the endpoint's TCP stack
+only. With capture on, each event writes its record as it happens.
+
+Full :class:`~repro.netmodel.packet.Packet` clones are materialized
+lazily — only when a device inspects the packet or a header rewrite /
+TTL field actually has to differ from the caller's packet.
 
 Like every allocator-adjacent module, this file must hold **no**
 module-level state (lintkit RP503 enforces it): plans are cached on the
@@ -46,19 +48,14 @@ rewound by the per-unit reset protocol.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
-from ..netmodel.ip import FlowKey, IPHeader, checksum16
 from ..netmodel.icmp import time_exceeded
+from ..netmodel.ip import FlowKey, IPHeader, checksum16
 from ..netmodel.packet import Packet, icmp_packet
-from ..netmodel.udp import UDPDatagram
+from .faults import FATE_FAIL_CLOSED, FATE_FAIL_OPEN
 from .interfaces import DIRECTION_FORWARD, InspectionContext, Verdict
 from .routing import Path
-from .simulator import (
-    POLICY_INJECTED_TO_SERVER,
-    Simulator,
-    Transit,
-)
 from .topology import Endpoint, Router
 
 # Terminal kinds a forward walk can reach (plan-resolved, not searched).
@@ -75,7 +72,7 @@ def patched_quote(wire_bytes: bytes, ttl: int) -> bytes:
     only the IP header changes: patch the TTL byte and recompute the
     header checksum over the 20 header bytes. This is byte-identical to
     rebuilding the packet with ``ip.copy(ttl=ttl)`` and serializing —
-    the expiry fast path uses it to avoid re-serializing the transport
+    the expiry event uses it to avoid re-serializing the transport
     payload for every ICMP quote.
     """
     header = bytearray(wire_bytes[: IPHeader.HEADER_LEN])
@@ -95,8 +92,8 @@ class PathPlan:
 
     __slots__ = (
         "path",
+        "nodes",
         "n_hops",
-        "is_router",
         "routers_before",
         "router_hops",
         "terminal_index",
@@ -110,8 +107,8 @@ class PathPlan:
         nodes = path.nodes if path.nodes is not None else path.resolve(topology)
         hops = path.hops
         self.path = path
+        self.nodes = nodes
         self.n_hops = len(hops)
-        is_router = []
         routers_before = [0]
         terminal_index: Optional[int] = None
         endpoint: Optional[Endpoint] = None
@@ -120,7 +117,6 @@ class PathPlan:
         count = 0
         for index, node in enumerate(nodes):
             router = isinstance(node, Router)
-            is_router.append(router)
             if router and terminal_index is None:
                 router_hops.append((index, node))
                 if (
@@ -136,7 +132,6 @@ class PathPlan:
                 if isinstance(node, Endpoint):
                     endpoint = node
             routers_before.append(count)
-        self.is_router = tuple(is_router)
         self.routers_before = tuple(routers_before)
         self.router_hops = tuple(router_hops)
         self.terminal_index = terminal_index
@@ -156,44 +151,53 @@ class PathPlan:
         )
         self.rewrites = tuple(rewrites)
 
+    def terminal(self, entry: int, ttl: int):
+        """``(kind, hop, router)`` ending a forward walk that enters on
+        the link to hop ``entry`` with ``ttl``: the router where the
+        TTL runs out, else the first non-router hop, else the path's
+        end (timeout)."""
+        base = self.routers_before[entry]
+        if self.routers_reachable - base >= max(ttl, 1):
+            # A TTL of k expires at the k-th router met; anything <= 0
+            # dies at the first one (the decrement goes negative).
+            hop, router = self.router_hops[base + max(ttl, 1) - 1]
+            return _EXPIRE, hop, router
+        if self.terminal_index is not None:
+            kind = _DELIVER if self.endpoint is not None else _SINK
+            return kind, self.terminal_index, None
+        return _TIMEOUT, self.n_hops - 1, None
+
 
 class BatchEngine:
-    """The batched fast path for one simulator's packet plane.
+    """The packet plane of one simulator.
 
-    One engine per simulator (``sim.batch_engine()``); the measurement
-    tools route their sends through it and frame logical batches (a
-    CenTrace sweep, a CenFuzz endpoint run) so the batch hit rate and
-    size distribution are observable in telemetry.
+    One engine per simulator (``sim.batch_engine()``); every send goes
+    through :meth:`send`. The measurement tools frame logical batches
+    (a CenTrace sweep, a CenFuzz endpoint run) so batch sizes are
+    observable in telemetry.
     """
 
-    __slots__ = ("sim", "_plans", "_routes", "_batches")
+    __slots__ = ("sim", "_plans", "_batches")
 
-    def __init__(self, sim: Simulator) -> None:
+    def __init__(self, sim) -> None:
         self.sim = sim
         # id(path) -> (path, plan): the path reference keeps the id stable.
         self._plans = {}
-        self._routes = {}
-        self._batches = []  # stack of [label, fast, fallback]
+        self._batches = []  # stack of [label, size]
 
     # -- batch framing -------------------------------------------------
 
     def begin_batch(self, label: str = "") -> None:
-        """Open a logical batch (a sweep, an endpoint run, a ladder)."""
-        self._batches.append([label, 0, 0])
+        """Open a logical batch (a sweep, an endpoint run)."""
+        self._batches.append([label, 0])
 
     def end_batch(self) -> None:
         """Close the innermost batch, emitting its size histogram event."""
-        label, fast, fallback = self._batches.pop()
+        label, size = self._batches.pop()
         tel = self.sim.telemetry
         if tel.enabled:
             tel.count("sim.batches")
-            tel.event(
-                "sim.batch",
-                label=label,
-                size=fast + fallback,
-                fast=fast,
-                fallback=fallback,
-            )
+            tel.event("sim.batch", label=label, size=size)
 
     def reset_batches(self) -> None:
         """Drop in-flight batch framing (part of ``Simulator.reset``)."""
@@ -216,17 +220,6 @@ class BatchEngine:
         self.begin_batch(label)
         return BatchEngine._BatchFrame(self)
 
-    def _note(self, fast: bool) -> None:
-        tel = self.sim.telemetry
-        if tel.enabled:
-            tel.count(
-                "sim.batch_fast_path" if fast else "sim.batch_scalar_fallback"
-            )
-        if self._batches:
-            self._batches[-1][1 if fast else 2] += 1
-
-    # -- plan / route caches -------------------------------------------
-
     def plan_for(self, path: Path) -> PathPlan:
         entry = self._plans.get(id(path))
         if entry is None or entry[0] is not path:
@@ -234,60 +227,95 @@ class BatchEngine:
             self._plans[id(path)] = entry
         return entry[1]
 
-    def _route_for(self, src: str, dst: str):
-        key = (src, dst)
-        route = self._routes.get(key)
-        if route is None:
-            route = self.sim.topology.route_between(src, dst)
-            self._routes[key] = route
-        return route
-
-    # -- the per-send fast path ----------------------------------------
+    # -- the send --------------------------------------------------------
 
     def send(
         self, packet: Packet, wire_bytes: Optional[bytes] = None
     ) -> List[Packet]:
-        """Semantically identical to ``sim.send_from_client(packet)``.
+        """Send ``packet`` from the client whose IP is ``packet.ip.src``.
 
-        ``wire_bytes``, when the caller already serialized the packet
-        (CenTrace records ``sent_bytes`` for every probe), lets the
-        expiry path derive the ICMP quote by patching the TTL byte
-        instead of re-serializing the transport payload.
-
-        Falls back to the scalar engine whenever a fault plan or
-        capture is active — every fault behaviour (per-link loss
-        profiles, token-bucket ICMP suppression, path churn, flaky
-        device fates, delivery shaping) stays implemented in exactly
-        one place.
+        Returns every packet delivered back to that client, in arrival
+        order; an empty list is a timeout. The caller's packet is left
+        as it was sent. ``wire_bytes``, when the caller already
+        serialized the packet (CenTrace records ``sent_bytes`` for every
+        probe), lets the expiry event derive the ICMP quote by patching
+        the TTL byte instead of re-serializing the transport payload.
         """
         sim = self.sim
-        if sim._faults is not None or sim._capture_enabled:
-            self._note(False)
-            return sim.send_from_client(packet)
-        self._note(True)
+        if self._batches:
+            self._batches[-1][1] += 1
         sim.clock += sim.per_packet_time
         src = packet.ip.src
-        route = self._route_for(src, packet.ip.dst)
+        route = sim.topology.route_between(src, packet.ip.dst)
+        faults = sim._faults
+        seed = sim.seed
+        if faults is not None:
+            # Churn: the send is counted (and may re-hash) before its
+            # path is chosen.
+            faults.note_client_packet(sim.clock)
+            seed = faults.path_seed(seed)
         if len(route.paths) == 1:
             path = route.paths[0]
         else:
-            # Same flow hashing as the scalar engine: TCP uses the real
-            # 5-tuple, everything else a degenerate per-pair key.
+            # TCP hashes the real 5-tuple, everything else a degenerate
+            # per-pair key.
             flow = (
                 packet.flow_key()
                 if packet.is_tcp
                 else FlowKey(src, packet.ip.dst, 0, 0, 1)
             )
-            path = route.select(flow, seed=sim.seed)
-        plan = self.plan_for(path)
+            path = route.select(flow, seed=seed)
         deliveries: List[Packet] = []
-        self._walk_forward(plan, packet, deliveries, wire_bytes)
+        self._walk_forward(self.plan_for(path), packet, deliveries, wire_bytes)
+        if faults is not None:
+            deliveries = faults.shape_deliveries(deliveries, sim._clone)
         tel = sim.telemetry
         if tel.enabled:
             tel.count("sim.client_packets")
             if deliveries:
                 tel.count("sim.deliveries", len(deliveries))
         return deliveries
+
+    def _lost(self, plan: PathPlan, links: range, event: str, pkt: Packet) -> bool:
+        """Roll loss for each link in ``links`` in order (-1 = the link
+        into the client); True when one of them drops ``pkt``.
+
+        A fault plan's loss profile replaces the uniform ``loss_rate``
+        and draws from the fault RNG, so plans never perturb the base
+        stream. A loss on the client link leaves no capture record: the
+        vantage point is the client, which never saw the packet.
+        """
+        sim = self.sim
+        tel = sim.telemetry
+        faults = sim._faults
+        if faults is not None and faults.per_link_loss:
+            nodes = plan.nodes
+            link_lost = faults.link_lost
+            for link in links:
+                if link_lost(nodes[link] if link >= 0 else None):
+                    break
+            else:
+                link = None
+            if tel.enabled and links:
+                rolls = len(links) if link is None else links.index(link) + 1
+                tel.count("sim.fault_loss_rolls", rolls)
+            if link is None:
+                return False
+        elif sim.loss_rate > 0:
+            rate = sim.loss_rate
+            rnd = sim._rng.random
+            for link in links:
+                if rnd() < rate:
+                    break
+            else:
+                return False
+        else:
+            return False
+        if tel.enabled:
+            tel.count("sim.packets_lost")
+        if sim._capture_enabled and link >= 0:
+            sim._record(plan.nodes[link].name, event, pkt.brief())
+        return True
 
     def _walk_forward(
         self,
@@ -299,112 +327,87 @@ class BatchEngine:
         sim = self.sim
         tel = sim.telemetry
         tel_on = tel.enabled
-        rate = sim.loss_rate
+        faults = sim._faults
+        flaky = faults is not None and faults.plan.flaky_devices is not None
         start_ttl = packet.ip.ttl
         client_ip = packet.ip.src
-        # Resolve the terminal hop arithmetically: the k-th router (if
-        # the TTL runs out), else the first non-router hop, else the
-        # path just ends (timeout).
-        terminal_router: Optional[Router] = None
-        if plan.routers_reachable and start_ttl <= plan.routers_reachable:
-            # A TTL of k expires at the k-th router; anything <= 0 dies
-            # at the first router it meets (the decrement goes negative).
-            ordinal = start_ttl - 1 if start_ttl > 0 else 0
-            last_hop, terminal_router = plan.router_hops[ordinal]
-            terminal = _EXPIRE
-        elif plan.terminal_index is not None:
-            last_hop = plan.terminal_index
-            terminal = _DELIVER if plan.endpoint is not None else _SINK
-        else:
-            last_hop = plan.n_hops - 1
-            terminal = _TIMEOUT
+        terminal, last_hop, router = plan.terminal(0, start_ttl)
         walk_pkt: Optional[Packet] = None
-        rewrite_pos = 0
-        cursor = 0  # next link index still owing a loss draw
-        if plan.device_hops:
-            for dev_hop, devices in plan.device_hops:
-                if dev_hop > last_hop:
-                    break
-                if rate > 0:
-                    rnd = sim._rng.random
-                    for _ in range(dev_hop + 1 - cursor):
-                        if rnd() < rate:
-                            if tel_on:
-                                tel.count("sim.packets_lost")
-                            return
-                    cursor = dev_hop + 1
-                if walk_pkt is None:
-                    walk_pkt = sim._clone(packet)
-                rewrite_pos = self._apply_rewrites(
-                    plan, walk_pkt, rewrite_pos, dev_hop
-                )
-                remaining = start_ttl - plan.routers_before[dev_hop]
-                for device in devices:
-                    ctx = InspectionContext(
-                        clock=sim.clock,
-                        remaining_ttl=remaining,
-                        link_index=dev_hop,
-                        direction=DIRECTION_FORWARD,
-                        net=sim.net_context,
-                    )
-                    verdict = device.inspect(walk_pkt, ctx)
+        rewritten = 0  # walk_pkt carries the rewrites of hops below this
+        rolled = 0  # next link still owing a loss roll
+        for dev_hop, devices in plan.device_hops:
+            if dev_hop > last_hop:
+                break
+            if self._lost(plan, range(rolled, dev_hop + 1), "loss", packet):
+                return
+            rolled = dev_hop + 1
+            if walk_pkt is None:
+                walk_pkt = sim._clone(packet)
+            self._rewrite(plan, walk_pkt, rewritten, dev_hop)
+            rewritten = dev_hop
+            remaining = start_ttl - plan.routers_before[dev_hop]
+            for device in devices:
+                if flaky:
                     if tel_on:
-                        tel.count("sim.device_inspections")
-                        if verdict.acted:
-                            tel.count("sim.device_actions")
-                    if verdict.inject_to_client or verdict.inject_to_server:
-                        self._dispatch_injections(
-                            verdict, plan, dev_hop, deliveries, client_ip
-                        )
-                    if verdict.drop and device.in_path:
-                        if tel_on:
-                            tel.count("sim.device_drops")
+                        tel.count("sim.fault_device_rolls")
+                    fate = faults.device_fate(device)
+                    if fate == FATE_FAIL_OPEN:
+                        # Enforcement lapses: the packet passes without
+                        # inspection (the device also misses any state
+                        # it would have built from it).
+                        if sim._capture_enabled:
+                            sim._record(device.name, "fail-open", walk_pkt.brief())
+                        continue
+                    if fate == FATE_FAIL_CLOSED and device.in_path:
+                        if sim._capture_enabled:
+                            sim._record(device.name, "fail-closed", walk_pkt.brief())
                         return
-        if rate > 0:
-            rnd = sim._rng.random
-            for _ in range(last_hop + 1 - cursor):
-                if rnd() < rate:
+                ctx = InspectionContext(
+                    clock=sim.clock,
+                    remaining_ttl=remaining,
+                    link_index=dev_hop,
+                    direction=DIRECTION_FORWARD,
+                    net=sim.net_context,
+                )
+                verdict = device.inspect(walk_pkt, ctx)
+                if tel_on:
+                    tel.count("sim.device_inspections")
+                    if verdict.acted:
+                        tel.count("sim.device_actions")
+                if sim._capture_enabled and verdict.acted:
+                    sim._record(
+                        device.name, "device", f"{verdict.note} {walk_pkt.brief()}"
+                    )
+                if verdict.inject_to_client or verdict.inject_to_server:
+                    self._inject(verdict, plan, dev_hop, deliveries, client_ip)
+                if verdict.drop and device.in_path:
                     if tel_on:
-                        tel.count("sim.packets_lost")
+                        tel.count("sim.device_drops")
                     return
+        if self._lost(plan, range(rolled, last_hop + 1), "loss", packet):
+            return
         if terminal is _EXPIRE:
             self._expire(
-                plan,
-                packet,
-                walk_pkt,
-                wire_bytes,
-                rewrite_pos,
-                last_hop,
-                terminal_router,
-                deliveries,
-                client_ip,
+                plan, packet, walk_pkt, wire_bytes, rewritten, last_hop,
+                router, deliveries, client_ip,
             )
         elif terminal is _DELIVER:
             self._deliver(
-                plan, packet, walk_pkt, rewrite_pos, start_ttl, last_hop,
-                deliveries,
+                plan, packet, walk_pkt, rewritten, start_ttl, last_hop,
+                deliveries, client_ip,
             )
         # _SINK / _TIMEOUT: the walk ends without an observable event.
 
     @staticmethod
-    def _apply_rewrites(
-        plan: PathPlan, pkt: Packet, pos: int, upto_hop: int
-    ) -> int:
-        """Apply header rewrites of routers at hop indices < ``upto_hop``.
-
-        Incremental (``pos`` is the resume point) so rewrites interleave
-        correctly with device inspections, exactly as in the scalar walk.
-        """
-        rewrites = plan.rewrites
-        while pos < len(rewrites) and rewrites[pos][0] < upto_hop:
-            _, rtos, rflags = rewrites[pos]
-            ip = pkt.ip
-            if rtos is not None and ip.tos != rtos:
-                pkt.ip = ip = ip.copy(tos=rtos)
-            if rflags is not None and ip.flags != rflags:
-                pkt.ip = ip.copy(flags=rflags)
-            pos += 1
-        return pos
+    def _rewrite(plan: PathPlan, pkt: Packet, low: int, high: int) -> None:
+        """Apply the header rewrites of routers at hops ``low..high-1``."""
+        for hop, rtos, rflags in plan.rewrites:
+            if low <= hop < high:
+                ip = pkt.ip
+                if rtos is not None and ip.tos != rtos:
+                    pkt.ip = ip = ip.copy(tos=rtos)
+                if rflags is not None and ip.flags != rflags:
+                    pkt.ip = ip.copy(flags=rflags)
 
     def _expire(
         self,
@@ -412,25 +415,37 @@ class BatchEngine:
         packet: Packet,
         walk_pkt: Optional[Packet],
         wire_bytes: Optional[bytes],
-        rewrite_pos: int,
+        rewritten: int,
         hop: int,
         router: Router,
         deliveries: List[Packet],
         client_ip: str,
     ) -> None:
-        """TTL hit zero at ``router`` — the plan-resolved expiry event."""
+        """TTL hit zero at ``router``: maybe answer with ICMP Time Exceeded."""
         sim = self.sim
         tel = sim.telemetry
+        if sim._capture_enabled:
+            sim._record(router.name, "ttl-expired", packet.brief())
         if not router.responds_icmp:
             if tel.enabled:
                 tel.count("sim.icmp_silent")
             return
+        faults = sim._faults
+        if faults is not None and faults.icmp_suppressed(router, sim.clock):
+            # Token bucket empty: the router stays silent for this
+            # expiry, exactly like rate-limited real-world hops during
+            # dense TTL sweeps.
+            if tel.enabled:
+                tel.count("sim.icmp_rate_limited")
+            if sim._capture_enabled:
+                sim._record(router.name, "icmp-rate-limited", packet.brief())
+            return
         if tel.enabled:
             tel.count("sim.icmp_generated")
+        # The quote reflects the packet as received here: in-flight
+        # header rewrites are visible and the TTL is down to 1.
         if walk_pkt is not None:
-            # A device saw (and may have annotated) the in-flight copy:
-            # finish its rewrites and serialize it, like the scalar walk.
-            self._apply_rewrites(plan, walk_pkt, rewrite_pos, hop)
+            self._rewrite(plan, walk_pkt, rewritten, hop)
             walk_pkt.ip = walk_pkt.ip.copy(ttl=1)
             quoted = walk_pkt.to_bytes()
         elif wire_bytes is not None and not (
@@ -442,7 +457,7 @@ class BatchEngine:
             quoted = patched_quote(wire_bytes, 1)
         else:
             clone = sim._clone(packet)
-            self._apply_rewrites(plan, clone, rewrite_pos, hop)
+            self._rewrite(plan, clone, 0, hop)
             clone.ip = clone.ip.copy(ttl=1)
             quoted = clone.to_bytes()
         message = time_exceeded(quoted, policy=router.quoting)
@@ -450,30 +465,31 @@ class BatchEngine:
             router.ip, client_ip, message, ttl=64, net=sim.net_context
         )
         response.emitted_by = router.name
-        self._lean_reverse(plan, response, hop, deliveries)
+        self._reverse(plan, response, hop, deliveries, client_ip)
 
     def _deliver(
         self,
         plan: PathPlan,
         packet: Packet,
         walk_pkt: Optional[Packet],
-        rewrite_pos: int,
+        rewritten: int,
         start_ttl: int,
-        last_hop: int,
+        hop: int,
         deliveries: List[Packet],
+        client_ip: str,
     ) -> None:
-        """Arrival at the endpoint hop (services + TCP stack delivery)."""
+        """Arrival at the endpoint hop (resolver or TCP stack)."""
         sim = self.sim
         endpoint = plan.endpoint
-        remaining = start_ttl - plan.routers_before[last_hop]
+        remaining = start_ttl - plan.routers_before[hop]
         restore = False
         if walk_pkt is not None:
-            self._apply_rewrites(plan, walk_pkt, rewrite_pos, last_hop)
+            self._rewrite(plan, walk_pkt, rewritten, hop)
             walk_pkt.ip.ttl = remaining
             arrived = walk_pkt
-        elif plan.rewrites and plan.rewrites[0][0] < last_hop:
+        elif plan.rewrites and plan.rewrites[0][0] < hop:
             arrived = sim._clone(packet)
-            self._apply_rewrites(plan, arrived, 0, last_hop)
+            self._rewrite(plan, arrived, 0, hop)
             arrived.ip.ttl = remaining
         else:
             # Zero-copy delivery: no rewrite touched the header, so the
@@ -484,285 +500,105 @@ class BatchEngine:
             saved_ttl = packet.ip.ttl
             packet.ip.ttl = remaining
         try:
+            if sim._capture_enabled:
+                sim._record(endpoint.name, "delivered", arrived.brief())
             if arrived.udp is not None:
                 if endpoint.resolver is not None:
                     for response in endpoint.resolver.handle_query(
                         arrived, endpoint.ip, net=sim.net_context
                     ):
-                        self._lean_reverse(plan, response, last_hop, deliveries)
+                        self._reverse(plan, response, hop, deliveries, client_ip)
                 return
             if arrived.tcp is None:
                 return
             stack = sim._stack_for(endpoint)
             for response in stack.receive(arrived, sim.clock):
-                self._lean_reverse(plan, response, last_hop, deliveries)
+                self._reverse(plan, response, hop, deliveries, client_ip)
         finally:
             if restore:
                 packet.ip.ttl = saved_ttl
 
-    def _lean_reverse(
+    def _reverse(
         self,
         plan: PathPlan,
         pkt: Packet,
-        start_index: int,
+        start: int,
         deliveries: List[Packet],
+        client_ip: str,
     ) -> None:
-        """Walk ``pkt`` from hop ``start_index`` back into the client.
+        """Walk ``pkt`` from hop ``start`` back into the client.
 
-        Replicates the scalar reverse policy: one loss draw per link
-        (hops ``start_index-1 .. 0`` plus the client link, in order),
-        TTL decrement at routers with silent expiry, arrival TTL on the
-        delivered packet. With no uniform loss the whole walk reduces
-        to one subtraction against the plan's router counts.
+        One loss roll per link (hops ``start-1 .. 0``, then the client
+        link), a TTL decrement per router crossed, silent expiry, and
+        the arrival TTL set on the delivered packet.
         """
         sim = self.sim
         tel = sim.telemetry
-        tel_on = tel.enabled
-        rate = sim.loss_rate
         ttl = pkt.ip.ttl
-        if rate > 0:
-            rnd = sim._rng.random
-            is_router = plan.is_router
-            for j in range(start_index - 1, -1, -1):
-                if rnd() < rate:
-                    if tel_on:
-                        tel.count("sim.packets_lost")
-                    return
-                if is_router[j]:
-                    ttl -= 1
-                    if ttl <= 0:
-                        if tel_on:
-                            tel.count("sim.reverse_ttl_expired")
-                        return
-            if rnd() < rate:
-                if tel_on:
-                    tel.count("sim.packets_lost")
+        crossed = plan.routers_before[start]
+        if crossed >= max(ttl, 1):
+            hop, router = plan.router_hops[crossed - max(ttl, 1)]
+            if self._lost(plan, range(start - 1, hop - 1, -1), "loss-reverse", pkt):
                 return
-        else:
-            crossed = plan.routers_before[start_index]
-            if ttl <= crossed:
-                if tel_on:
-                    tel.count("sim.reverse_ttl_expired")
-                return
-            ttl -= crossed
-        pkt.ip.ttl = ttl
+            if tel.enabled:
+                tel.count("sim.reverse_ttl_expired")
+            if sim._capture_enabled:
+                sim._record(router.name, "reverse-ttl-expired", pkt.brief())
+            return
+        if self._lost(plan, range(start - 1, -2, -1), "loss-reverse", pkt):
+            return
+        pkt.ip.ttl = ttl - crossed
+        if sim._capture_enabled:
+            sim._record(client_ip, "arrived", pkt.brief())
         deliveries.append(pkt)
 
-    def _dispatch_injections(
+    def _inject(
         self,
         verdict: Verdict,
         plan: PathPlan,
-        link_index: int,
+        hop: int,
         deliveries: List[Packet],
         client_ip: str,
     ) -> None:
-        sim = self.sim
-        tel = sim.telemetry
-        tel_on = tel.enabled
-        for injected in verdict.inject_to_client:
-            if tel_on:
-                tel.count("sim.injected_to_client")
-            self._lean_reverse(
-                plan, sim._clone(injected), link_index, deliveries
-            )
-        for injected in verdict.inject_to_server:
-            # Injected-to-server continuations keep their scalar
-            # implementation: they are rare, stateful (they meet the
-            # endpoint stack) and policy-distinct.
-            if tel_on:
-                tel.count("sim.injected_to_server")
-            sim._run_transit(
-                Transit(
-                    sim._clone(injected),
-                    plan.path,
-                    link_index,
-                    POLICY_INJECTED_TO_SERVER,
-                    client_ip,
-                ),
-                deliveries,
-            )
+        """Walk a device's forgeries from its link, hop ``hop``.
 
-    # -- the array ladder ----------------------------------------------
-
-    def run_udp_ladder(
-        self,
-        client_ip: str,
-        dst_ip: str,
-        dport: int,
-        ttls: Sequence[int],
-        payload_for: Callable[[int], bytes],
-        *,
-        tos: int = 0,
-        label: str = "udp-ladder",
-    ) -> List[List[Packet]]:
-        """Send one UDP probe per TTL in ``ttls`` as a single batch.
-
-        Semantically identical to the scalar loop::
-
-            for ttl in ttls:
-                sport = net.next_ephemeral_port()
-                pkt = udp_packet(client_ip, dst_ip, sport, dport,
-                                 payload=payload_for(sport), ttl=ttl,
-                                 tos=tos, net=net)
-                results.append(sim.send_from_client(pkt))
-
-        but resolved on the compiled plan: probe fates (loss, expiry
-        router, delivery) are computed on flat arrays, the uniform-loss
-        stream is drawn in per-packet order, and a ``Packet`` is only
-        materialized for probes whose terminal event needs its bytes (a
-        responding router's quote, an endpoint delivery). Lost probes
-        and silent-router expiries still consume their source-port and
-        IP-ID allocations so the NetContext streams stay bit-identical.
-
-        ``payload_for`` must be a pure function of the source port (the
-        DNS case: the transaction ID is derived from the port); it is
-        invoked only for materialized probes.
-
-        Falls back to the scalar loop per probe (through :meth:`send`)
-        whenever a fault plan, capture, ECMP multi-path routing, an
-        on-path device or a header-rewriting router makes per-probe
-        state observable mid-walk.
+        Each forgery walks a copy: the walk rebinds headers and the
+        device may reuse its injection template.
         """
         sim = self.sim
-        route = self._route_for(client_ip, dst_ip)
-        eligible = (
-            sim._faults is None
-            and not sim._capture_enabled
-            and len(route.paths) == 1
-        )
-        plan = self.plan_for(route.paths[0]) if eligible else None
-        if plan is not None and (plan.device_hops or plan.rewrites):
-            # Devices need the in-flight packet; header rewrites change
-            # quote/arrival bytes mid-walk. Both stay scalar (per probe,
-            # via send(), which itself fast-paths rewrites correctly).
-            eligible = False
-        with self.batch(label):
-            if not eligible:
-                return self._scalar_ladder(
-                    client_ip, dst_ip, dport, ttls, payload_for, tos
-                )
-            return self._fast_ladder(
-                plan, client_ip, dst_ip, dport, ttls, payload_for, tos
-            )
-
-    def _scalar_ladder(
-        self, client_ip, dst_ip, dport, ttls, payload_for, tos
-    ) -> List[List[Packet]]:
-        from ..netmodel.packet import udp_packet
-
-        net = self.sim.net_context
-        results = []
-        for ttl in ttls:
-            sport = net.next_ephemeral_port()
-            probe = udp_packet(
-                client_ip,
-                dst_ip,
-                sport,
-                dport,
-                payload=payload_for(sport),
-                ttl=ttl,
-                tos=tos,
-                net=net,
-            )
-            results.append(self.send(probe))
-        return results
-
-    def _fast_ladder(
-        self, plan, client_ip, dst_ip, dport, ttls, payload_for, tos
-    ) -> List[List[Packet]]:
-        sim = self.sim
         tel = sim.telemetry
-        tel_on = tel.enabled
-        net = sim.net_context
-        rate = sim.loss_rate
-        n = len(ttls)
-        # Bulk-allocate the per-probe source ports up front: the
-        # ephemeral stream carries only probe sports here, so the block
-        # equals n sequential next_ephemeral_port() calls.
-        sports = net.take_ephemeral_ports(n)
-        reachable = plan.routers_reachable
-        per_packet_time = sim.per_packet_time
-        results: List[List[Packet]] = []
-        for i in range(n):
-            ttl = ttls[i]
-            sim.clock += per_packet_time
-            ip_id = net.next_ip_id()
-            deliveries: List[Packet] = []
-            results.append(deliveries)
-            if tel_on:
-                tel.count("sim.batch_fast_path")
-                tel.count("sim.client_packets")
-            if self._batches:
-                self._batches[-1][1] += 1
-            if reachable and ttl <= reachable:
-                last_hop, router = plan.router_hops[ttl - 1 if ttl > 0 else 0]
-                terminal = _EXPIRE
-            elif plan.terminal_index is not None:
-                last_hop = plan.terminal_index
-                terminal = _DELIVER if plan.endpoint is not None else _SINK
-            else:
-                last_hop = plan.n_hops - 1
-                terminal = _TIMEOUT
-            if rate > 0:
-                rnd = sim._rng.random
-                lost = False
-                for _ in range(last_hop + 1):
-                    if rnd() < rate:
-                        lost = True
-                        break
-                if lost:
-                    if tel_on:
-                        tel.count("sim.packets_lost")
-                    continue
+        for injected in verdict.inject_to_client:
+            if tel.enabled:
+                tel.count("sim.injected_to_client")
+            self._reverse(plan, sim._clone(injected), hop, deliveries, client_ip)
+        for injected in verdict.inject_to_server:
+            if tel.enabled:
+                tel.count("sim.injected_to_server")
+            forged = sim._clone(injected)
+            ttl = forged.ip.ttl
+            # The forgery next arrives at hop ``hop`` itself: the
+            # device's own link carries no loss roll.
+            terminal, last_hop, router = plan.terminal(hop, ttl)
+            if self._lost(plan, range(hop + 1, last_hop + 1), "loss-injected", forged):
+                continue
             if terminal is _EXPIRE:
-                if not router.responds_icmp:
-                    if tel_on:
-                        tel.count("sim.icmp_silent")
-                    continue
-                if tel_on:
-                    tel.count("sim.icmp_generated")
-                quote_pkt = Packet(
-                    ip=IPHeader(
-                        src=client_ip,
-                        dst=dst_ip,
-                        ttl=1,
-                        tos=tos,
-                        identification=ip_id,
-                    ),
-                    udp=UDPDatagram(
-                        sport=sports[i], dport=dport,
-                        payload=payload_for(sports[i]),
-                    ),
-                )
-                message = time_exceeded(
-                    quote_pkt.to_bytes(), policy=router.quoting
-                )
-                response = icmp_packet(
-                    router.ip, client_ip, message, ttl=64, net=net
-                )
-                response.emitted_by = router.name
-                self._lean_reverse(plan, response, last_hop, deliveries)
-            elif terminal is _DELIVER:
-                endpoint = plan.endpoint
-                if endpoint.resolver is not None:
-                    arrived = Packet(
-                        ip=IPHeader(
-                            src=client_ip,
-                            dst=dst_ip,
-                            ttl=ttl - plan.routers_before[last_hop],
-                            tos=tos,
-                            identification=ip_id,
-                        ),
-                        udp=UDPDatagram(
-                            sport=sports[i], dport=dport,
-                            payload=payload_for(sports[i]),
-                        ),
-                    )
-                    for response in endpoint.resolver.handle_query(
-                        arrived, endpoint.ip, net=net
-                    ):
-                        self._lean_reverse(plan, response, last_hop, deliveries)
-            # _SINK / _TIMEOUT: allocations consumed, nothing delivered.
-            if tel_on and deliveries:
-                tel.count("sim.deliveries", len(deliveries))
-        return results
+                # Silent: the ICMP error would chase the spoofed source.
+                if tel.enabled:
+                    tel.count("sim.injected_ttl_expired")
+                if sim._capture_enabled:
+                    sim._record(router.name, "injected-ttl-expired", forged.brief())
+                continue
+            if terminal is not _DELIVER:
+                continue
+            self._rewrite(plan, forged, hop, last_hop)
+            forged.ip.ttl = ttl - (
+                plan.routers_before[last_hop] - plan.routers_before[hop]
+            )
+            if sim._capture_enabled:
+                sim._record(plan.endpoint.name, "delivered", forged.brief())
+            # Forgeries bypass application services but still meet the
+            # endpoint's TCP stack — e.g. the RST a real stack sends for
+            # injected data on an unknown flow.
+            stack = sim._stack_for(plan.endpoint)
+            for response in stack.receive(forged, sim.clock):
+                self._reverse(plan, response, last_hop, deliveries, client_ip)

@@ -19,18 +19,16 @@ Mechanics reproduced from the paper (§4.1):
 * Routers may rewrite the IP TOS byte or IP flags in flight; the quoted
   packet in later ICMP errors then differs from what was sent (§4.3:
   32.06% of quotes show a TOS delta).
-* Optional per-hop random loss exercises CenTrace's retry logic.
+* Optional per-hop random loss exercises CenTrace's retry logic, and a
+  :class:`~repro.netsim.faults.FaultPlan` adds the rest of an
+  unreliable network (per-link loss, ICMP rate limiting, churn, flaky
+  devices, duplication and reordering).
 
-Every packet walk — the client's forward traffic, device forgeries
-carried on to the server, and all return traffic — goes through **one**
-transit engine (:meth:`Simulator._run_transit`). A :class:`Transit`
-names the packet, the path, where on the path the packet enters, and a
-:class:`TransitPolicy` whose bits declare the only semantic differences
-between walk kinds (device inspection, ICMP on expiry, first-link loss,
-router header transforms, endpoint delivery mode). Loss rolls, TTL
-decrement, fault fates, capture and telemetry are therefore provably
-shared: a divergence between directions has to be a declared policy
-bit, not copy-paste drift.
+The simulator owns the world's state — clock, RNG, fault state,
+endpoint stacks, identifier context, capture log. The hop walk itself
+lives in :mod:`repro.netsim.batch`: every packet, faulted or not,
+walks a compiled :class:`~repro.netsim.batch.PathPlan`, and
+:meth:`Simulator.send_from_client` is the engine's ``send``.
 """
 
 from __future__ import annotations
@@ -40,20 +38,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..netmodel import tcp as tcpmod
-from ..netmodel.icmp import time_exceeded
-from ..netmodel.ip import FlowKey
 from ..netmodel.netctx import NetContext, default_context
-from ..netmodel.packet import Packet, icmp_packet
+from ..netmodel.packet import Packet
 from ..telemetry import NULL_TELEMETRY
-from .faults import FATE_FAIL_CLOSED, FATE_FAIL_OPEN, FaultPlan, FaultState
-from .interfaces import (
-    DIRECTION_FORWARD,
-    DIRECTION_REVERSE,
-    InspectionContext,
-    Verdict,
-)
-from .routing import Path
-from .topology import Endpoint, Router, Topology
+from .batch import BatchEngine
+from .faults import FaultPlan, FaultState
+from .topology import Endpoint, Topology
 
 
 @dataclass
@@ -64,101 +54,6 @@ class CaptureRecord:
     location: str
     event: str
     detail: str
-
-
-@dataclass(frozen=True, slots=True)
-class TransitPolicy:
-    """The declared semantic differences between packet-walk kinds.
-
-    The transit engine runs the same hop loop for every walk; these
-    bits are the *only* places the walks may diverge. Capture labels
-    ride along so the pcap-like log keeps naming the walk kind.
-    """
-
-    direction: str  # traversal orientation (forward / reverse)
-    inspect_devices: bool = False  # link devices see the packet (+ fault fates)
-    emit_icmp_on_expiry: bool = False  # routers answer TTL expiry with ICMP
-    loss_on_first_link: bool = True  # roll loss on the entry link too
-    apply_router_transforms: bool = False  # TOS / IP-flag rewrites en route
-    deliver_via_services: bool = False  # resolver + TCP stack vs stack only
-    loss_event: str = "loss"  # capture label for a lost packet
-    expiry_event: str = "ttl-expired"  # capture label for TTL expiry
-    expiry_counter: Optional[str] = None  # telemetry counter for silent expiry
-
-
-#: Client traffic toward the endpoint: full semantics — loss on every
-#: link, device inspection with fault fates, ICMP Time Exceeded on
-#: expiry, router header transforms, resolver/TCP-stack delivery.
-POLICY_FORWARD = TransitPolicy(
-    direction=DIRECTION_FORWARD,
-    inspect_devices=True,
-    emit_icmp_on_expiry=True,
-    loss_on_first_link=True,
-    apply_router_transforms=True,
-    deliver_via_services=True,
-    loss_event="loss",
-    expiry_event="ttl-expired",
-)
-
-#: A device forgery carried the rest of the way to the endpoint. Not
-#: re-inspected by other devices; its first link is the device's own
-#: attachment (no loss roll); expiry dies silently — the ICMP error
-#: would go to the spoofed source, not our client. The endpoint's TCP
-#: stack still reacts (e.g. RST for data on an unknown flow).
-POLICY_INJECTED_TO_SERVER = TransitPolicy(
-    direction=DIRECTION_FORWARD,
-    inspect_devices=False,
-    emit_icmp_on_expiry=False,
-    loss_on_first_link=False,
-    apply_router_transforms=True,
-    deliver_via_services=False,
-    loss_event="loss-injected",
-    expiry_event="injected-ttl-expired",
-    expiry_counter="sim.injected_ttl_expired",
-)
-
-#: Return traffic toward the client: endpoint responses, router ICMP
-#: errors and device injections to the client. Routers decrement TTL
-#: but do not transform headers or answer expiry (the resulting ICMP
-#: would chase a spoofed source); every link rolls loss, including the
-#: final link into the client.
-POLICY_REVERSE = TransitPolicy(
-    direction=DIRECTION_REVERSE,
-    inspect_devices=False,
-    emit_icmp_on_expiry=False,
-    loss_on_first_link=True,
-    apply_router_transforms=False,
-    deliver_via_services=False,
-    loss_event="loss-reverse",
-    expiry_event="reverse-ttl-expired",
-    expiry_counter="sim.reverse_ttl_expired",
-)
-
-
-#: Sentinel hop index for the link from hop 0 back into the client.
-CLIENT_LINK = -1
-
-
-@dataclass(slots=True)
-class Transit:
-    """One packet's traversal: where it enters a path and under which
-    policy it walks.
-
-    ``start_index`` is direction-dependent, matching how devices and
-    nodes are indexed on a :class:`~repro.netsim.routing.Path`:
-
-    * forward-direction policies enter on the link leading to hop
-      ``start_index`` and proceed toward the endpoint;
-    * the reverse policy treats ``start_index`` as the hop already
-      *behind* the packet — it still has to cross hops
-      ``start_index - 1 .. 0`` and the final client link.
-    """
-
-    packet: Packet
-    path: Path
-    start_index: int
-    policy: TransitPolicy
-    client_ip: str
 
 
 class Simulator:
@@ -198,23 +93,14 @@ class Simulator:
         # the clock or any RNG stream, so instrumented and
         # uninstrumented runs produce identical measurements.
         self.telemetry = NULL_TELEMETRY
-        # Lazily-built batched fast path (repro.netsim.batch); compiled
-        # path plans survive reset, batch framing does not.
-        self._batch_engine = None
+        # The packet plane (repro.netsim.batch): compiled path plans
+        # survive reset, batch framing does not.
+        self._batch_engine = BatchEngine(self)
         self.set_fault_plan(fault_plan)
 
-    def batch_engine(self):
-        """The simulator's :class:`~repro.netsim.batch.BatchEngine`.
-
-        One engine per simulator: measurement tools share its compiled
-        path plans and batch framing. The engine's ``send`` is
-        semantically identical to :meth:`send_from_client`, falling back
-        to it whenever a fault plan or capture is active.
-        """
-        if self._batch_engine is None:
-            from .batch import BatchEngine  # local import: avoids a cycle
-
-            self._batch_engine = BatchEngine(self)
+    def batch_engine(self) -> BatchEngine:
+        """The simulator's :class:`~repro.netsim.batch.BatchEngine`: the
+        one hop walk, its compiled path plans and batch framing."""
         return self._batch_engine
 
     def set_telemetry(self, telemetry) -> None:
@@ -248,8 +134,7 @@ class Simulator:
         # Rewind identifier allocation in place (never rebind: stacks
         # and connections hold references to this context).
         self.net_context.reset()
-        if self._batch_engine is not None:
-            self._batch_engine.reset_batches()
+        self._batch_engine.reset_batches()
         if self._faults is not None:
             # Fault state (token buckets, churn counters, the fault
             # RNG) is part of the replayed state: rebuilding it here is
@@ -305,40 +190,9 @@ class Simulator:
     # -- the walk ---------------------------------------------------------
 
     def send_from_client(self, packet: Packet) -> List[Packet]:
-        """Send ``packet`` from the client whose IP is ``packet.ip.src``.
-
-        Returns every packet delivered back to that client, in arrival
-        order. An empty list is a timeout.
-        """
-        self.clock += self.per_packet_time
-        # Work on a copy: routers transform headers in flight and the
-        # caller's packet must keep reflecting what was actually sent.
-        packet = self._clone(packet)
-        client_ip = packet.ip.src
-        route = self.topology.route_between(client_ip, packet.ip.dst)
-        flow = (
-            packet.flow_key()
-            if packet.is_tcp
-            else FlowKey(packet.ip.src, packet.ip.dst, 0, 0, 1)
-        )
-        faults = self._faults
-        path_seed = self.seed
-        if faults is not None:
-            faults.note_client_packet(self.clock)
-            path_seed = faults.path_seed(self.seed)
-        path = route.select(flow, seed=path_seed)
-        deliveries: List[Packet] = []
-        self._run_transit(
-            Transit(packet, path, 0, POLICY_FORWARD, client_ip), deliveries
-        )
-        if faults is not None:
-            deliveries = faults.shape_deliveries(deliveries, self._clone)
-        tel = self.telemetry
-        if tel.enabled:
-            tel.count("sim.client_packets")
-            if deliveries:
-                tel.count("sim.deliveries", len(deliveries))
-        return deliveries
+        """Send ``packet`` from the client whose IP is ``packet.ip.src``;
+        see :meth:`~repro.netsim.batch.BatchEngine.send`."""
+        return self.batch_engine().send(packet)
 
     @staticmethod
     def _clone(packet: Packet) -> Packet:
@@ -355,345 +209,6 @@ class Simulator:
             emitted_by=packet.emitted_by,
             injected=packet.injected,
         )
-
-    def _lost(self) -> bool:
-        return self.loss_rate > 0 and self._rng.random() < self.loss_rate
-
-    def _link_lost(self, node) -> bool:
-        """Loss roll for the link leading to ``node`` (None = client link).
-
-        With a fault-plan loss profile installed, the per-link/per-AS
-        rates replace the uniform ``loss_rate``; draws then come from
-        the fault RNG so plans never perturb the base RNG stream.
-        """
-        faults = self._faults
-        if faults is not None and faults.per_link_loss:
-            if self.telemetry.enabled:
-                self.telemetry.count("sim.fault_loss_rolls")
-            return faults.link_lost(node)
-        return self.loss_rate > 0 and self._rng.random() < self.loss_rate
-
-    def _run_transit(self, transit: Transit, deliveries: List[Packet]) -> None:
-        """THE hop loop: walk one :class:`Transit` to completion.
-
-        Every packet the simulator moves — forward client traffic,
-        injected forgeries continuing to the server, and all return
-        traffic — runs through this loop. Each hop applies the same
-        staged pipeline, with :class:`TransitPolicy` bits gating the
-        stages:
-
-        1. **link loss** — one RNG roll per link crossed (the entry
-           link only if ``loss_on_first_link``; the reverse walk also
-           rolls the final link into the client);
-        2. **fault fates + device inspection** — only if
-           ``inspect_devices``; fail-open skips the device, fail-closed
-           swallows in-path packets, verdicts may drop and inject;
-        3. **node arrival** — routers decrement TTL (expiry handled per
-           ``emit_icmp_on_expiry``) and optionally transform headers;
-           an endpoint terminates a forward-direction walk via
-           :meth:`_deliver_to_endpoint`; the client link terminates a
-           reverse walk by appending to ``deliveries``. Interior
-           non-router hops are transparent to reverse traffic.
-
-        This loop is the simulator's hottest code: policy bits and
-        instance attributes are hoisted into locals once per transit,
-        and the reverse walk's final client link (:data:`CLIENT_LINK`)
-        is handled after the loop so the per-hop body never tests for
-        it.
-        """
-        policy = transit.policy
-        packet = transit.packet
-        path = transit.path
-        start_index = transit.start_index
-        client_ip = transit.client_ip
-        ttl = packet.ip.ttl
-        nodes = path.nodes
-        if nodes is None:
-            nodes = path.resolve(self.topology)
-        hops = path.hops
-        capture = self._capture_enabled
-        faults = self._faults
-        lossy = (
-            faults is not None and faults.per_link_loss
-        ) or self.loss_rate > 0
-        inspect = policy.inspect_devices
-        flaky = (
-            inspect
-            and faults is not None
-            and faults.plan.flaky_devices is not None
-        )
-        tel = self.telemetry
-        telemetry_on = tel.enabled
-        forward = policy.direction == DIRECTION_FORWARD
-        loss_on_entry = policy.loss_on_first_link
-        apply_transforms = policy.apply_router_transforms
-        if forward:
-            # Enter on the link leading to hop start_index, proceed
-            # toward the endpoint.
-            indices = range(start_index, len(hops))
-        else:
-            # start_index is the hop already behind the packet: cross
-            # hops start_index-1 .. 0, then the client link (below).
-            indices = range(start_index - 1, -1, -1)
-        for index in indices:
-            node = nodes[index]
-            # 1. The link leading to this hop: loss roll.
-            if (
-                lossy
-                and (loss_on_entry or index != start_index)
-                and self._link_lost(node)
-            ):
-                if telemetry_on:
-                    tel.count("sim.packets_lost")
-                if capture:
-                    self._record(
-                        hops[index].node_name,
-                        policy.loss_event,
-                        packet.brief(),
-                    )
-                return
-            # 2. Devices on the link (fault fates, then inspection).
-            if inspect:
-                for device in hops[index].link_devices:
-                    if flaky:
-                        if telemetry_on:
-                            tel.count("sim.fault_device_rolls")
-                        fate = faults.device_fate(device)
-                        if fate == FATE_FAIL_OPEN:
-                            # Enforcement lapses: the packet passes
-                            # without inspection (the device also misses
-                            # any state it would have built from it).
-                            if capture:
-                                self._record(
-                                    device.name, "fail-open", packet.brief()
-                                )
-                            continue
-                        if fate == FATE_FAIL_CLOSED and device.in_path:
-                            if capture:
-                                self._record(
-                                    device.name, "fail-closed", packet.brief()
-                                )
-                            return
-                    ctx = InspectionContext(
-                        clock=self.clock,
-                        remaining_ttl=ttl,
-                        link_index=index,
-                        direction=policy.direction,
-                        net=self.net_context,
-                    )
-                    verdict = device.inspect(packet, ctx)
-                    if telemetry_on:
-                        tel.count("sim.device_inspections")
-                        if verdict.acted:
-                            tel.count("sim.device_actions")
-                    if capture and verdict.acted:
-                        self._record(
-                            device.name,
-                            "device",
-                            f"{verdict.note} {packet.brief()}",
-                        )
-                    self._dispatch_injections(
-                        verdict, path, index, deliveries, client_ip
-                    )
-                    if verdict.drop and device.in_path:
-                        if telemetry_on:
-                            tel.count("sim.device_drops")
-                        return
-            # 3. Arrive at the node.
-            if isinstance(node, Router):
-                ttl -= 1
-                if ttl <= 0:
-                    self._expire_at_router(
-                        node,
-                        packet,
-                        path,
-                        index,
-                        deliveries,
-                        client_ip,
-                        policy,
-                    )
-                    return
-                if apply_transforms:
-                    self._apply_router_transforms(node, packet)
-            elif forward:
-                if isinstance(node, Endpoint):
-                    packet.ip.ttl = ttl
-                    self._deliver_to_endpoint(
-                        node,
-                        packet,
-                        path,
-                        index,
-                        deliveries,
-                        client_ip,
-                        policy,
-                    )
-                return
-            # Reverse traffic passes interior non-router hops (e.g. an
-            # endpoint mid-path) transparently: no TTL spent.
-        if forward:
-            # A forward walk normally terminates inside the loop; an
-            # empty or endpoint-less path simply times out.
-            return
-        # The reverse walk crossed hop 0: one last loss roll for the
-        # CLIENT_LINK itself (silent — the capture vantage point is the
-        # client, so a packet lost here was never seen), then arrival.
-        if lossy and self._link_lost(None):
-            if telemetry_on:
-                tel.count("sim.packets_lost")
-            return
-        packet.ip = packet.ip.copy(ttl=ttl)
-        if capture:
-            self._record(client_ip, "arrived", packet.brief())
-        deliveries.append(packet)
-
-    def _hop_ip(self, path: Path, index: int) -> str:
-        nodes = path.nodes
-        if nodes is None:
-            nodes = path.resolve(self.topology)
-        return nodes[index].ip
-
-    def _apply_router_transforms(self, router: Router, packet: Packet) -> None:
-        if router.rewrite_tos is not None and packet.ip.tos != router.rewrite_tos:
-            packet.ip = packet.ip.copy(tos=router.rewrite_tos)
-        if (
-            router.rewrite_ip_flags is not None
-            and packet.ip.flags != router.rewrite_ip_flags
-        ):
-            packet.ip = packet.ip.copy(flags=router.rewrite_ip_flags)
-
-    def _expire_at_router(
-        self,
-        router: Router,
-        packet: Packet,
-        path: Path,
-        index: int,
-        deliveries: List[Packet],
-        client_ip: str,
-        policy: TransitPolicy,
-    ) -> None:
-        """TTL hit zero at ``router``: maybe emit ICMP Time Exceeded."""
-        tel = self.telemetry
-        if self._capture_enabled:
-            self._record(router.name, policy.expiry_event, packet.brief())
-        if not policy.emit_icmp_on_expiry:
-            # Injected and reverse traffic dies silently: the ICMP
-            # error would chase the spoofed source, not our client.
-            if tel.enabled and policy.expiry_counter is not None:
-                tel.count(policy.expiry_counter)
-            return
-        if not router.responds_icmp:
-            if tel.enabled:
-                tel.count("sim.icmp_silent")
-            return
-        if self._faults is not None and self._faults.icmp_suppressed(
-            router, self.clock
-        ):
-            # Token bucket empty: the router stays silent for this
-            # expiry, exactly like rate-limited real-world hops during
-            # dense TTL sweeps.
-            if tel.enabled:
-                tel.count("sim.icmp_rate_limited")
-            if self._capture_enabled:
-                self._record(router.name, "icmp-rate-limited", packet.brief())
-            return
-        # The quoted copy reflects the packet as received here: any
-        # in-flight header rewrites are visible, and the TTL has been
-        # decremented all the way down.
-        if tel.enabled:
-            tel.count("sim.icmp_generated")
-        packet.ip = packet.ip.copy(ttl=1)
-        quoted = packet.to_bytes()
-        message = time_exceeded(quoted, policy=router.quoting)
-        response = icmp_packet(
-            router.ip, client_ip, message, ttl=64, net=self.net_context
-        )
-        response.emitted_by = router.name
-        self._run_transit(
-            Transit(response, path, index, POLICY_REVERSE, client_ip),
-            deliveries,
-        )
-
-    def _deliver_to_endpoint(
-        self,
-        endpoint: Endpoint,
-        packet: Packet,
-        path: Path,
-        index: int,
-        deliveries: List[Packet],
-        client_ip: str,
-        policy: TransitPolicy,
-    ) -> None:
-        if self._capture_enabled:
-            self._record(endpoint.name, "delivered", packet.brief())
-        if policy.deliver_via_services:
-            if packet.is_udp:
-                if endpoint.resolver is not None:
-                    for response in endpoint.resolver.handle_query(
-                        packet, endpoint.ip, net=self.net_context
-                    ):
-                        self._run_transit(
-                            Transit(
-                                response, path, index, POLICY_REVERSE, client_ip
-                            ),
-                            deliveries,
-                        )
-                return
-            if not packet.is_tcp:
-                return
-        # Injected forgeries bypass application services but still meet
-        # the endpoint's TCP stack — e.g. the RST a real stack sends
-        # for injected data on an unknown flow.
-        stack = self._stack_for(endpoint)
-        for response in stack.receive(packet, self.clock):
-            self._run_transit(
-                Transit(response, path, index, POLICY_REVERSE, client_ip),
-                deliveries,
-            )
-
-    def _dispatch_injections(
-        self,
-        verdict: Verdict,
-        path: Path,
-        link_index: int,
-        deliveries: List[Packet],
-        client_ip: str,
-    ) -> None:
-        tel = self.telemetry
-        for injected in verdict.inject_to_client:
-            # The device sits on the link leading to hop ``link_index``,
-            # so its injections must cross every router at indices
-            # link_index-1 .. 0 — exactly what the reverse policy does
-            # when told the packet originates "at" hop link_index. Walk
-            # a copy: the walk rebinds headers (TTL rewrite on arrival)
-            # and the device may reuse its injection template.
-            if tel.enabled:
-                tel.count("sim.injected_to_client")
-            self._run_transit(
-                Transit(
-                    self._clone(injected),
-                    path,
-                    link_index,
-                    POLICY_REVERSE,
-                    client_ip,
-                ),
-                deliveries,
-            )
-        for injected in verdict.inject_to_server:
-            # Forged packets to the server next arrive at hop
-            # ``link_index`` itself (the device's own link carries no
-            # loss roll) and continue toward the endpoint.
-            if tel.enabled:
-                tel.count("sim.injected_to_server")
-            self._run_transit(
-                Transit(
-                    self._clone(injected),
-                    path,
-                    link_index,
-                    POLICY_INJECTED_TO_SERVER,
-                    client_ip,
-                ),
-                deliveries,
-            )
 
 
 class EndpointStack:

@@ -70,7 +70,6 @@ class Connection:
         dst_ip: str,
         dst_port: int,
         sport: Optional[int] = None,
-        engine=None,
     ) -> None:
         self.sim = sim
         self.client = client
@@ -81,11 +80,7 @@ class Connection:
             if sport is not None
             else sim.net_context.next_ephemeral_port()
         )
-        # Optional batched fast path (repro.netsim.batch.BatchEngine):
-        # semantically identical to sim.send_from_client, so callers opt
-        # in per connection without changing observable behaviour.
-        self._engine = engine
-        self._send = engine.send if engine is not None else sim.send_from_client
+        self._engine = sim.batch_engine()
         self.established = False
         self.server_isn: Optional[int] = None
         self._next_seq = self.CLIENT_ISN + 1
@@ -110,7 +105,7 @@ class Connection:
                 ttl=64,
                 net=self.sim.net_context,
             )
-            responses = self._send(syn)
+            responses = self._engine.send(syn)
             for response in responses:
                 if (
                     response.is_tcp
@@ -129,7 +124,7 @@ class Connection:
                         ttl=64,
                         net=self.sim.net_context,
                     )
-                    self._send(ack)
+                    self._engine.send(ack)
                     self.established = True
                     return True
                 if response.is_tcp and response.tcp.flags & tcpmod.RST:
@@ -177,15 +172,11 @@ class Connection:
         result = ProbeResult(sent=probe, sent_bytes=sent_bytes)
         attempt = 0
         wait = retry_wait
-        engine = self._engine
         while True:
-            # The already-serialized probe lets the batch engine derive
+            # The already-serialized probe lets the expiry event derive
             # ICMP quotes by patching the TTL byte instead of
             # re-serializing the transport payload.
-            if engine is not None:
-                received = engine.send(probe, wire_bytes=sent_bytes)
-            else:
-                received = self.sim.send_from_client(probe)
+            received = self._engine.send(probe, wire_bytes=sent_bytes)
             result.received.extend(received)
             if received or attempt >= retries:
                 break
@@ -211,7 +202,7 @@ class Connection:
             ttl=64,
             net=self.sim.net_context,
         )
-        self._send(fin)
+        self._engine.send(fin)
         self.established = False
 
 
@@ -223,14 +214,9 @@ def open_connection(
     *,
     sport: Optional[int] = None,
     retries: int = 2,
-    engine=None,
 ) -> Optional[Connection]:
-    """Open a connection; returns None when the handshake fails.
-
-    ``engine`` routes the connection's sends through the batched fast
-    path (:class:`repro.netsim.batch.BatchEngine`) when given.
-    """
-    conn = Connection(sim, client, dst_ip, dst_port, sport=sport, engine=engine)
+    """Open a connection; returns None when the handshake fails."""
+    conn = Connection(sim, client, dst_ip, dst_port, sport=sport)
     if not conn.connect(retries=retries):
         return None
     return conn

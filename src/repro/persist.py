@@ -776,33 +776,40 @@ class UnitCache:
         self._load()
 
     def _load(self) -> None:
+        # Byte length to cut the file back to before the next append:
+        # set when the file does not end with an intact, terminated
+        # record line (a torn append), None when it does.
+        self._cut_at: Optional[int] = None
         if not self.path.exists():
             return
-        with self.path.open() as handle:
-            lines = handle.readlines()
+        data = self.path.read_bytes()
+        lines = data.splitlines(keepends=True)
         last_content = len(lines)
         while last_content and not lines[last_content - 1].strip():
             last_content -= 1
+        end = 0  # end of the last intact line
         for lineno, line in enumerate(lines, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                key, kind, payload = (
-                    record["key"], record["kind"], record["payload"]
-                )
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                if lineno == last_content:
-                    # Torn final append: drop the lost record, keep the
-                    # cache usable (misses re-run and re-append).
-                    self.telemetry.count("store.unit_cache_torn_tail")
-                    break
-                raise PersistError(
-                    f"corrupt unit cache {self.path} at line {lineno}: "
-                    f"{exc}"
-                ) from None
-            self._entries[key] = {"kind": kind, "payload": payload}
-            self._lines[key] = lineno
+            if line.strip():
+                try:
+                    record = json.loads(line)
+                    key, kind, payload = (
+                        record["key"], record["kind"], record["payload"]
+                    )
+                except (ValueError, KeyError, TypeError) as exc:
+                    if lineno == last_content:
+                        # Torn final append: drop the lost record, keep
+                        # the cache usable (misses re-run and re-append).
+                        self.telemetry.count("store.unit_cache_torn_tail")
+                        break
+                    raise PersistError(
+                        f"corrupt unit cache {self.path} at line {lineno}: "
+                        f"{exc}"
+                    ) from None
+                self._entries[key] = {"kind": kind, "payload": payload}
+                self._lines[key] = lineno
+            end += len(line)
+        if end != len(data) or not data.endswith(b"\n"):
+            self._cut_at = end
         self.telemetry.count("store.unit_cache_loaded", len(self._entries))
 
     def __len__(self) -> int:
@@ -842,6 +849,16 @@ class UnitCache:
             return
         self._entries[key] = {"kind": kind, "payload": payload}
         record = {"key": key, "kind": kind, "payload": payload}
+        if self._cut_at is not None:
+            # Drop a torn tail (and end an unterminated last record) so
+            # this record starts a line of its own.
+            with self.path.open("r+b") as handle:
+                handle.truncate(self._cut_at)
+                if self._cut_at:
+                    handle.seek(self._cut_at - 1)
+                    if handle.read(1) != b"\n":
+                        handle.write(b"\n")
+            self._cut_at = None
         with self.path.open("a") as handle:
             handle.write(json.dumps(record, ensure_ascii=False) + "\n")
         self.telemetry.count("store.unit_cache_writes")

@@ -46,8 +46,6 @@ COUNTERS: Dict[str, str] = {
     "sim.injected_ttl_expired": "injected packets that expired in transit",
     "sim.reverse_ttl_expired": "reverse-path packets that expired in transit",
     "sim.batches": "batched sweeps walked by the packet plane",
-    "sim.batch_fast_path": "sweeps served by the array fast path",
-    "sim.batch_scalar_fallback": "sweeps that fell back to scalar transit",
     # -- measurement tools (core) -----------------------------------
     "centrace.measurements": "CenTrace endpoint measurements started",
     "centrace.blocked": "measurements that observed censorship",
@@ -135,7 +133,7 @@ DYNAMIC_SPANS: Dict[str, str] = {
 #: Exact event kinds -> what one event records.
 EVENTS: Dict[str, str] = {
     "stage": "one executor stage finished (stage name, unit count)",
-    "sim.batch": "one batched sweep walked (size, fast-path flag)",
+    "sim.batch": "one batched sweep walked (label, size)",
     "centrace.blocked": "a measurement observed blocking (endpoint, type)",
     "cenfuzz.endpoint": "one endpoint fuzzed (evasion/permutation counts)",
     "localize.placement": "one placement world scored (true index, methods)",
@@ -143,20 +141,12 @@ EVENTS: Dict[str, str] = {
 
 #: Registered counters with **no** literal call site: they are emitted
 #: only through a whitelisted dynamic site (RP603 exempts them).
-INDIRECT_COUNTERS: Set[str] = {
-    # Emitted via TransitPolicy.expiry_counter in the simulator's
-    # policy-driven transit engine.
-    "sim.injected_ttl_expired",
-}
+INDIRECT_COUNTERS: Set[str] = set()
 
 #: ``module:Scope.function`` sites allowed to pass a computed (non
 #: literal) telemetry name, with the justification. Anything else that
 #: does so is an RP602 violation.
 NONLITERAL_NAME_SITES: Dict[str, str] = {
-    "repro.netsim.simulator:Simulator._expire_at_router": (
-        "emits TransitPolicy.expiry_counter — policy table literals "
-        "covered by sim.*_ttl_expired entries"
-    ),
     "repro.experiments.epochs:EpochScheduler._run_cached": (
         "per-kind reuse counters — covered by the "
         "store.units_reused./store.units_executed. families"

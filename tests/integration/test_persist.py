@@ -332,6 +332,28 @@ class TestUnitCache:
         assert len(reloaded) == 2
         assert telemetry.counters["store.unit_cache_torn_tail"] == 1
 
+    @pytest.mark.parametrize("cut", [10, 1], ids=["torn-record", "torn-newline"])
+    def test_append_after_torn_tail_keeps_the_cache_loadable(self, tmp_path, cut):
+        # Put 3, cut the tail mid-append, reopen, put 2 more, reopen: the
+        # appends must not land on the torn line. Cutting only the final
+        # newline leaves an intact record the next append must not join.
+        cache = UnitCache(tmp_path)
+        for n in range(3):
+            key, payload = self.entry(n)
+            cache.put(key, "trace", payload)
+        path = tmp_path / UnitCache.FILENAME
+        path.write_bytes(path.read_bytes()[:-cut])
+        reopened = UnitCache(tmp_path)
+        for n in (3, 4):
+            key, payload = self.entry(n)
+            reopened.put(key, "trace", payload)
+        reloaded = UnitCache(tmp_path)
+        assert len(reloaded) == len(reopened) == (5 if cut == 1 else 4)
+        for n in (3, 4):
+            key, payload = self.entry(n)
+            assert reloaded.get(key) == {"kind": "trace", "payload": payload}
+        assert path.read_bytes().endswith(b"}\n")
+
     def test_mid_file_corruption_rejected(self, tmp_path):
         cache = UnitCache(tmp_path)
         for n in range(3):

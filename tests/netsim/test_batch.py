@@ -1,16 +1,16 @@
-"""Batch-vs-scalar parity for the batched packet plane (PR 6 tentpole).
+"""The compiled-plan walk against the scalar engine it replaced.
 
-The :class:`~repro.netsim.batch.BatchEngine` promises to reproduce the
-scalar engine's observable behaviour *exactly*: delivered bytes, the
-base RNG draw stream, NetContext identifier streams, the virtual clock
-and every telemetry counter. These tests drive both engines over the
-same workloads on fresh worlds and compare all five surfaces.
-
-The fast subset (plain / device / rewrite worlds at two loss rates)
-runs in tier 1; the exhaustive world x loss grid and the fault-plan
-fallback presets ride behind ``--runslow``.
+The packet plane once had two engines: a scalar hop-by-hop walk, which
+every faulted or captured world took, and the compiled-plan walk. The
+plan walk is now the only one. The fingerprints below were captured on
+the scalar engine before it was retired, so each test here still
+compares the plan walk with the scalar walk: delivered bytes, the base
+RNG draw stream, NetContext identifier streams, the virtual clock,
+every telemetry counter and, where capture is on, the capture log.
 """
 
+import hashlib
+import json
 import sys
 from pathlib import Path as _Path
 
@@ -28,20 +28,45 @@ from helpers import (
 
 from repro.devices.vendors import KZ_STATE
 from repro.netmodel import tcp as tcpmod
+from repro.netmodel.dns import query
 from repro.netmodel.packet import tcp_packet, udp_packet
-from repro.netsim.batch import BatchEngine, patched_quote
+from repro.netsim.batch import patched_quote
 from repro.netsim.faults import PRESETS
 from repro.netsim.routing import Hop, Path, Route
 from repro.netsim.simulator import Simulator
 from repro.netsim.tcpstack import open_connection
 from repro.netsim.topology import Client, Endpoint, Router, Topology
 from repro.services.dnsresolver import DNSResolver
+from repro.services.webserver import WebServer
 from repro.telemetry import Telemetry
 
 PAYLOAD = b"GET / HTTP/1.1\r\nHost: " + OK_DOMAIN.encode() + b"\r\n\r\n"
 BLOCKED_PAYLOAD = (
     b"GET / HTTP/1.1\r\nHost: " + BLOCKED_DOMAIN.encode() + b"\r\n\r\n"
 )
+
+#: Fingerprints of each workload as the scalar engine walked it.
+SCALAR = {
+    "plain-0.0": "1690d1c1c6c1fd35b090e2e40988cdcc9e924fa013891928044f74c9ff3515ee",
+    "plain-0.2": "f7657f67599936dfa12123f3bee181c16ea17fd5667ebdc6315cb214869cd53c",
+    "device-0.0": "a42838c631477079b17410d6c3f3dd341a342dbd77ac360fdb2fde9bed61fb1e",
+    "device-0.2": "2a5770e3ffb571f457972b755b26cab2bcbd9fae187637cf0c22f7cd38b3437d",
+    "rewrite-0.0": "5875e24643ae977d52cfa6f901bc75f298916f72062fccac43f74dafa07b247b",
+    "rewrite-0.2": "3650440dae9611ef72cf5effdee47a9dc25fa42a98326f78c1effd81de9a1bae",
+    "silent-0.0": "e3b48a771958ca031643ce496355142e66f185878f9776abac85fb8d8165b80a",
+    "multipath": "396a124f4348a282071cc9102b70f1e1550beb34dae53cb459bb664dcb7baa85",
+    "rng-stream": "ad5ab4e0efa5db935fc0d11e9a6e83e0d1f9f2df12c7d4c7bc805d947954deab",
+    "ladder-0.0": "40e1fd6086f76553bc6aaf683d88a043c73facee35b37547389871f21b626115",
+    "ladder-0.25": "f6b3fd01056c2605926a21a132c160a2457a76da901f13ab721c419193bb5b01",
+    "ladder-silent": "97d751faa864bd1b6d4db82d84dc23e3bdd637475fe70d6a623e49d35ff6d461",
+    "device-lossy": "668f98ed721015b31b291e508574da71ea71fcccbc4ecb48f2bfa57f3fa19728",
+    "device-ratelimit": "412c10cbdf960388ff367c339bd9e3d1269e56ef18afcdc91132738a38a8ef41",
+    "device-flaky": "bf65efc7d93ce6f7c85c80c0753a48102a8c6804a2082b68c25972264db92fea",
+    "capture-light": "7b8bdbb096af5a089028a47a65f23a9fdd533c3eb4cc6e00336a9fa254343c64",
+    "capture-churn": "637bb1891f86cc66958dcfa97f5e64fbfdd9d89a7070169520e4427a9ba8b74b",
+    "capture-duplicate": "637bb1891f86cc66958dcfa97f5e64fbfdd9d89a7070169520e4427a9ba8b74b",
+    "capture-chaos": "fa82139759005fa8bafb6001ed445023f379cb5e5b8d67a4e3c077ae02867c88",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +123,6 @@ def build_multipath_world(loss_rate=0.0, seed=7):
             )
             hops.append(Hop(router.name))
         paths.append(hops)
-    from repro.services.webserver import WebServer
-
     endpoint = topology.add_endpoint(
         Endpoint(
             "endpoint",
@@ -149,18 +172,18 @@ def build_dns_world(loss_rate=0.0, seed=7, n_routers=6, silent=()):
 
 
 # ---------------------------------------------------------------------------
-# Workloads + observable snapshots
+# Workloads + observable fingerprints
 # ---------------------------------------------------------------------------
 
 
-def tcp_workflow(sim, client, engine=None, n=24):
+def tcp_workflow(sim, client, n=24):
     """Fresh-connection probes over a TTL ladder, with retries."""
     out = []
     for i in range(n):
         payload = BLOCKED_PAYLOAD if i % 3 == 0 else PAYLOAD
-        conn = open_connection(sim, client, ENDPOINT_IP, 80, engine=engine)
+        conn = open_connection(sim, client, ENDPOINT_IP, 80)
         if conn is None:
-            out.append(("handshake-failed",))
+            out.append("handshake-failed")
             sim.advance(1.0)
             continue
         result = conn.send_payload(
@@ -171,36 +194,55 @@ def tcp_workflow(sim, client, engine=None, n=24):
     return out
 
 
-def observe(sim, tel):
-    """Everything the two engines must agree on, beyond deliveries."""
-    counters = dict(tel.counters)
-    counters.pop("sim.batch_fast_path", None)
-    counters.pop("sim.batch_scalar_fallback", None)
-    counters.pop("sim.batches", None)
-    return (
-        repr(sim.net_context),
-        [sim._rng.random() for _ in range(4)],
-        sim.clock,
-        counters,
-    )
-
-
-def run_pair(builder, loss_rate, workload=tcp_workflow, plan=None):
-    """Run ``workload`` scalar then batched on fresh worlds; compare."""
+def dns_ladder(sim, client, ttls=tuple(range(1, 12)) + (0, 64)):
+    """One fresh UDP DNS query per TTL, as CenTrace's DNS sweep sends."""
+    net = sim.net_context
     results = []
-    for use_engine in (False, True):
-        world = builder(loss_rate=loss_rate)
-        sim, client = world.sim, world.client
-        tel = Telemetry()
-        sim.set_telemetry(tel)
-        if plan is not None:
-            sim.set_fault_plan(plan)
-        engine = sim.batch_engine() if use_engine else None
-        out = workload(sim, client, engine=engine)
-        results.append((out, observe(sim, tel)))
-    (scalar_out, scalar_obs), (batch_out, batch_obs) = results
-    assert scalar_out == batch_out
-    assert scalar_obs == batch_obs
+    for ttl in ttls:
+        sport = net.next_ephemeral_port()
+        probe = udp_packet(
+            client.ip,
+            ENDPOINT_IP,
+            sport,
+            53,
+            payload=query(OK_DOMAIN, txid=(sport * 7919) & 0xFFFF).to_bytes(),
+            ttl=ttl,
+            net=net,
+        )
+        results.append(tuple(p.to_bytes() for p in sim.send_from_client(probe)))
+    return results
+
+
+def fingerprint(out, sim, tel):
+    """sha256 over everything the walk must reproduce."""
+    counters = {
+        k: v for k, v in tel.counters.items() if not k.startswith("sim.batch")
+    }
+    observed = [
+        [[p.hex() for p in probe] if isinstance(probe, tuple) else probe
+         for probe in out],
+        repr(sim.net_context),
+        [repr(sim._rng.random()) for _ in range(4)],
+        repr(sim.clock),
+        sorted(counters.items()),
+        [(repr(r.clock), r.location, r.event, r.detail) for r in sim.capture],
+    ]
+    return hashlib.sha256(json.dumps(observed).encode()).hexdigest()
+
+
+def run_tcp(sim, client, plan=None, n=24):
+    tel = Telemetry()
+    sim.set_telemetry(tel)
+    if plan is not None:
+        sim.set_fault_plan(plan)
+    return fingerprint(tcp_workflow(sim, client, n=n), sim, tel)
+
+
+def run_ladder(loss_rate, **world_kw):
+    sim, client, _ep = build_dns_world(loss_rate=loss_rate, **world_kw)
+    tel = Telemetry()
+    sim.set_telemetry(tel)
+    return fingerprint(dns_ladder(sim, client), sim, tel)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +285,7 @@ class TestPatchedQuote:
 
 
 # ---------------------------------------------------------------------------
-# send() parity — fast tier-1 subset
+# Clean worlds
 # ---------------------------------------------------------------------------
 
 
@@ -251,280 +293,61 @@ class TestSendParity:
     @pytest.mark.parametrize("name", ["plain", "device", "rewrite"])
     @pytest.mark.parametrize("loss", [0.0, 0.2])
     def test_tcp_workflow_parity(self, name, loss):
-        run_pair(WORLDS[name], loss)
+        world = WORLDS[name](loss_rate=loss)
+        key = f"{name}-{loss}"
+        assert run_tcp(world.sim, world.client) == SCALAR[key]
 
     def test_silent_router_parity(self):
-        run_pair(WORLDS["silent"], 0.0)
+        world = WORLDS["silent"]()
+        assert run_tcp(world.sim, world.client) == SCALAR["silent-0.0"]
 
     def test_multipath_parity(self):
-        results = []
-        for use_engine in (False, True):
-            sim, client, _ep = build_multipath_world(loss_rate=0.002)
-            tel = Telemetry()
-            sim.set_telemetry(tel)
-            engine = sim.batch_engine() if use_engine else None
-            out = tcp_workflow(sim, client, engine=engine)
-            results.append((out, observe(sim, tel)))
-        assert results[0] == results[1]
+        sim, client, _ep = build_multipath_world(loss_rate=0.002)
+        assert run_tcp(sim, client) == SCALAR["multipath"]
 
     def test_rng_stream_identical_after_lossy_walks(self):
         # Beyond matching deliveries: the *entire* base draw stream must
         # stay aligned (each link crossed consumes exactly one draw).
-        draws = []
-        for use_engine in (False, True):
-            world = world_plain(loss_rate=0.3, seed=13)
-            sim = world.sim
-            engine = sim.batch_engine() if use_engine else None
-            tcp_workflow(sim, world.client, engine=engine, n=12)
-            draws.append([sim._rng.random() for _ in range(16)])
-        assert draws[0] == draws[1]
-
-
-# ---------------------------------------------------------------------------
-# run_udp_ladder parity
-# ---------------------------------------------------------------------------
-
-
-def scalar_ladder_reference(sim, client, ttls):
-    """The documented scalar equivalent of run_udp_ladder."""
-    from repro.netmodel.dns import query
-
-    net = sim.net_context
-    results = []
-    for ttl in ttls:
-        sport = net.next_ephemeral_port()
-        probe = udp_packet(
-            client.ip,
-            ENDPOINT_IP,
-            sport,
-            53,
-            payload=query(OK_DOMAIN, txid=(sport * 7919) & 0xFFFF).to_bytes(),
-            ttl=ttl,
-            net=net,
-        )
-        results.append(sim.send_from_client(probe))
-    return results
-
-
-def ladder_pair(builder, loss_rate, ttls=None, **world_kw):
-    from repro.netmodel.dns import query
-
-    if ttls is None:
-        ttls = list(range(1, 12)) + [0, 64]
-    results = []
-    for use_engine in (False, True):
-        sim, client, _ep = builder(loss_rate=loss_rate, **world_kw)
-        tel = Telemetry()
-        sim.set_telemetry(tel)
-        if use_engine:
-            engine = sim.batch_engine()
-            out = engine.run_udp_ladder(
-                client.ip,
-                ENDPOINT_IP,
-                53,
-                ttls,
-                lambda sport: query(
-                    OK_DOMAIN, txid=(sport * 7919) & 0xFFFF
-                ).to_bytes(),
-            )
-        else:
-            out = scalar_ladder_reference(sim, client, ttls)
-        flat = [[p.to_bytes() for p in probe] for probe in out]
-        results.append((flat, observe(sim, tel)))
-    assert results[0] == results[1]
+        world = world_plain(loss_rate=0.3, seed=13)
+        sim = world.sim
+        tcp_workflow(sim, world.client, n=12)
+        draws = [repr(sim._rng.random()) for _ in range(16)]
+        digest = hashlib.sha256(json.dumps(draws).encode()).hexdigest()
+        assert digest == SCALAR["rng-stream"]
 
 
 class TestLadderParity:
+    """TTL ladders of UDP DNS queries to a resolver endpoint."""
+
     def test_lossless(self):
-        ladder_pair(build_dns_world, 0.0)
+        assert run_ladder(0.0) == SCALAR["ladder-0.0"]
 
     def test_lossy(self):
-        ladder_pair(build_dns_world, 0.25)
+        assert run_ladder(0.25) == SCALAR["ladder-0.25"]
 
     def test_silent_routers(self):
-        ladder_pair(build_dns_world, 0.0, silent=(0, 2))
-
-    def test_ladder_uses_fast_path_on_clean_world(self):
-        sim, client, _ep = build_dns_world()
-        tel = Telemetry()
-        sim.set_telemetry(tel)
-        engine = sim.batch_engine()
-        engine.run_udp_ladder(
-            client.ip, ENDPOINT_IP, 53, range(1, 9), lambda sport: b"x"
-        )
-        assert tel.counters.get("sim.batch_fast_path") == 8
-        assert "sim.batch_scalar_fallback" not in tel.counters
-
-    def test_ladder_falls_back_under_fault_plan(self):
-        sim, client, _ep = build_dns_world()
-        tel = Telemetry()
-        sim.set_telemetry(tel)
-        sim.set_fault_plan(PRESETS["lossy"])
-        engine = sim.batch_engine()
-        engine.run_udp_ladder(
-            client.ip, ENDPOINT_IP, 53, range(1, 9), lambda sport: b"x"
-        )
-        assert tel.counters.get("sim.batch_scalar_fallback") == 8
-        assert "sim.batch_fast_path" not in tel.counters
+        assert run_ladder(0.0, silent=(0, 2)) == SCALAR["ladder-silent"]
 
 
 # ---------------------------------------------------------------------------
-# Scalar fallback under fault plans (parity by construction, but the
-# dispatch itself and the counters must behave)
+# Fault plans and capture, which the scalar engine alone used to walk
 # ---------------------------------------------------------------------------
 
 
 class TestFallback:
     @pytest.mark.parametrize("preset", ["lossy", "ratelimit", "flaky"])
-    def test_fault_plans_take_the_scalar_path(self, preset):
-        world = world_device()
-        sim = world.sim
-        tel = Telemetry()
-        sim.set_telemetry(tel)
-        sim.set_fault_plan(PRESETS[preset])
-        engine = sim.batch_engine()
-        tcp_workflow(sim, world.client, engine=engine, n=4)
-        assert tel.counters.get("sim.batch_scalar_fallback", 0) > 0
-        assert "sim.batch_fast_path" not in tel.counters
-
-    @pytest.mark.parametrize("preset", ["lossy", "ratelimit", "flaky"])
     def test_fault_plan_outcomes_match_direct_scalar(self, preset):
-        # The fallback must not change behaviour: engine.send under a
-        # plan == sim.send_from_client under the same plan.
-        results = []
-        for use_engine in (False, True):
-            world = world_device()
-            sim = world.sim
-            tel = Telemetry()
-            sim.set_telemetry(tel)
-            sim.set_fault_plan(PRESETS[preset])
-            engine = sim.batch_engine() if use_engine else None
-            out = tcp_workflow(sim, world.client, engine=engine, n=8)
-            results.append((out, observe(sim, tel)))
-        assert results[0] == results[1]
+        world = world_device()
+        assert (
+            run_tcp(world.sim, world.client, PRESETS[preset], n=8)
+            == SCALAR[f"device-{preset}"]
+        )
 
-    def test_capture_mode_falls_back(self):
-        world = world_plain()
-        sim = Simulator(world.topology, seed=7, capture=True)
-        tel = Telemetry()
-        sim.set_telemetry(tel)
-        engine = sim.batch_engine()
-        tcp_workflow(sim, world.client, engine=engine, n=2)
-        assert tel.counters.get("sim.batch_scalar_fallback", 0) > 0
-        assert "sim.batch_fast_path" not in tel.counters
-        assert sim.capture  # the scalar path recorded the walk
-
-
-# ---------------------------------------------------------------------------
-# Fallback accounting: the counter is the audit trail for "which engine
-# actually walked this probe", so it must tally exactly the probes the
-# scalar engine ran — not approximately.
-# ---------------------------------------------------------------------------
-
-
-def count_forward_transits(sim):
-    """Wrap ``sim._run_transit`` to tally client-probe walks.
-
-    Only :func:`~repro.netsim.simulator.Simulator.send_from_client`
-    creates POLICY_FORWARD transits, so counting them counts exactly
-    the probes the *scalar* engine walked end to end (responses,
-    expiries and injections use other policies).
-    """
-    from repro.netsim.simulator import POLICY_FORWARD
-
-    counts = {"forward": 0}
-    inner = sim._run_transit
-
-    def counting(transit, deliveries):
-        if transit.policy is POLICY_FORWARD:
-            counts["forward"] += 1
-        return inner(transit, deliveries)
-
-    sim._run_transit = counting
-    return counts
-
-
-class TestFallbackAccounting:
-    def drive(self, sim, n=6):
-        tel = Telemetry()
-        sim.set_telemetry(tel)
-        counts = count_forward_transits(sim)
-        engine = BatchEngine(sim)
-        for i in range(n):
-            packet = tcp_packet(
-                CLIENT_IP,
-                ENDPOINT_IP,
-                40000 + i,
-                80,
-                flags=tcpmod.SYN,
-                seq=100 + i,
-                ttl=64,
-                net=sim.net_context,
-            )
-            engine.send(packet)
-        return tel.counters, counts["forward"]
-
-    def test_fallback_counter_equals_scalar_walks_under_faults(self):
-        world = world_plain()
-        sim = world.sim
-        sim.set_fault_plan(PRESETS["lossy"])
-        counters, forwards = self.drive(sim, n=6)
-        # Every probe fell back, and every fallback really went through
-        # the scalar engine's transit walk — one POLICY_FORWARD transit
-        # per probe, no fast-path leakage.
-        assert counters.get("sim.batch_scalar_fallback") == 6
-        assert forwards == 6
-        assert "sim.batch_fast_path" not in counters
-
-    def test_fallback_counter_equals_scalar_walks_under_capture(self):
-        world = world_plain()
-        sim = Simulator(world.topology, seed=7, capture=True)
-        counters, forwards = self.drive(sim, n=4)
-        assert counters.get("sim.batch_scalar_fallback") == 4
-        assert forwards == 4
-        assert "sim.batch_fast_path" not in counters
-
-    def test_fast_path_never_enters_the_scalar_walk(self):
-        world = world_plain()
-        counters, forwards = self.drive(world.sim, n=5)
-        # Clean world: the batched walk handles everything; the scalar
-        # transit engine must see zero client probes.
-        assert counters.get("sim.batch_fast_path") == 5
-        assert "sim.batch_scalar_fallback" not in counters
-        assert forwards == 0
-
-
-# ---------------------------------------------------------------------------
-# The exhaustive grid (--runslow)
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.slow
-class TestFullParityGrid:
-    @pytest.mark.parametrize("name", sorted(WORLDS))
-    @pytest.mark.parametrize("loss", [0.0, 0.002, 0.2])
-    @pytest.mark.parametrize("seed", [7, 23])
-    def test_send_grid(self, name, loss, seed):
-        def builder(loss_rate):
-            return WORLDS[name](loss_rate=loss_rate, seed=seed)
-
-        run_pair(builder, loss)
-
-    @pytest.mark.parametrize("loss", [0.0, 0.002, 0.2])
-    @pytest.mark.parametrize("silent", [(), (0,), (2, 4)])
-    def test_ladder_grid(self, loss, silent):
-        ladder_pair(build_dns_world, loss, silent=silent)
-
-    @pytest.mark.parametrize("preset", ["light", "lossy", "ratelimit", "flaky", "chaos"])
-    def test_fallback_grid(self, preset):
-        results = []
-        for use_engine in (False, True):
-            world = world_device()
-            sim = world.sim
-            tel = Telemetry()
-            sim.set_telemetry(tel)
-            sim.set_fault_plan(PRESETS[preset])
-            engine = sim.batch_engine() if use_engine else None
-            out = tcp_workflow(sim, world.client, engine=engine, n=16)
-            results.append((out, observe(sim, tel)))
-        assert results[0] == results[1]
+    @pytest.mark.parametrize("preset", ["light", "churn", "duplicate", "chaos"])
+    def test_capture_log_matches_direct_scalar(self, preset):
+        world = world_device(loss_rate=0.05)
+        sim = Simulator(world.topology, seed=7, loss_rate=0.05, capture=True)
+        assert (
+            run_tcp(sim, world.client, PRESETS[preset], n=16)
+            == SCALAR[f"capture-{preset}"]
+        )

@@ -55,11 +55,7 @@ from repro.netsim.faults import (
     PRESETS,
 )
 from repro.netsim.interfaces import LinkDevice, Verdict
-from repro.netsim.simulator import (
-    POLICY_INJECTED_TO_SERVER,
-    EndpointStack,
-    Transit,
-)
+from repro.netsim.simulator import EndpointStack
 from repro.netsim.topology import Endpoint, Router, Service
 
 # ---------------------------------------------------------------------------
@@ -473,59 +469,51 @@ class TestSatelliteRegressions:
         )
 
     @staticmethod
-    def _forged():
-        forged = tcp_packet(
-            CLIENT_IP,
-            ENDPOINT_IP,
-            47001,
-            80,
-            flags=tcpmod.PSH | tcpmod.ACK,
-            seq=999,
-            ttl=64,
-            payload=b"forged",
-        )
-        forged.injected = True
-        return forged
+    def _poked(world, plan):
+        """Connect, install ``plan``, then send one payload: the
+        ``_ServerPoker`` at link 2 forges toward the server. Returns
+        the payload send's telemetry counters."""
+        from repro.netsim.tcpstack import Connection
+        from repro.telemetry import Telemetry
+
+        sim = world.sim
+        conn = Connection(sim, world.client, ENDPOINT_IP, 80, sport=45000)
+        assert conn.connect()
+        sim.set_fault_plan(plan)
+        tel = Telemetry()
+        sim.set_telemetry(tel)
+        sim._capture_enabled = True
+        conn.send_payload(b"GET / HTTP/1.1\r\nHost: x\r\n\r\n")
+        return tel.counters
 
     def test_injected_to_server_rolls_loss_per_remaining_link(self):
-        world = build_linear_world()
-        sim = world.sim
-        sim._capture_enabled = True
-        forged = self._forged()
-        route = sim.topology.route_between(CLIENT_IP, ENDPOINT_IP)
-        path = route.select(forged.flow_key(), seed=sim.seed)
         # 100% loss on the link into r4 (past an injection at link 2):
-        # the forged packet must die there, not survive because the
-        # single legacy loss roll happened to pass.
-        sim.set_fault_plan(
-            FaultPlan(loss=LossProfile(link_rates=(("r4", 1.0),)))
-        )
-        deliveries = []
-        sim._run_transit(
-            Transit(forged, path, 2, POLICY_INJECTED_TO_SERVER, CLIENT_IP),
-            deliveries,
-        )
-        assert deliveries == []
-        assert sim._faults.counters.packets_lost == 1
+        # the forged packet must die there, not survive because a single
+        # loss roll happened to pass. (The probe itself dies there too.)
+        world = build_linear_world(device=_ServerPoker(), device_link=2)
+        self._poked(world, FaultPlan(loss=LossProfile(link_rates=(("r4", 1.0),))))
+        sim = world.sim
+        lost = [r for r in sim.capture if r.event == "loss-injected"]
+        assert [r.location for r in lost] == ["r4"]
+        assert ":45001 >" in lost[0].detail
+        assert sim._faults.counters.packets_lost == 2
         assert not any(r.event == "delivered" for r in sim.capture)
-        # Links at or before the injection point are never rolled: the
-        # forged packet only crosses the remaining links.
-        sim.set_fault_plan(
-            FaultPlan(
-                loss=LossProfile(
-                    link_rates=(("r0", 1.0), ("r1", 1.0), ("r2", 1.0))
-                )
-            )
-        )
-        sim.capture.clear()
-        deliveries = []
-        sim._run_transit(
-            Transit(
-                self._forged(), path, 2, POLICY_INJECTED_TO_SERVER, CLIENT_IP
-            ),
-            deliveries,
-        )
-        assert any(r.event == "delivered" for r in sim.capture)
+
+    def test_injected_to_server_skips_the_device_link_roll(self):
+        # The forgery enters at r2 (the device's own link carries no
+        # roll), so with TTL 2 it crosses exactly one more link — into
+        # r3, where it expires. Every other roll of the send is the
+        # same as in a world whose device forges nothing.
+        lossless = FaultPlan(loss=LossProfile(default_rate=0.0))
+        poked = build_linear_world(device=_ServerPoker(forged_ttl=2), device_link=2)
+        rolls = self._poked(poked, lossless)
+        quiet = build_linear_world(device=_ServerPoker(forged_ttl=2), device_link=2)
+        quiet.device.inspect = lambda packet, ctx: Verdict.pass_through()
+        baseline = self._poked(quiet, lossless)
+        assert rolls["sim.injected_ttl_expired"] == 1
+        assert rolls["sim.fault_loss_rolls"] == baseline["sim.fault_loss_rolls"] + 1
+        expired = [r for r in poked.sim.capture if r.event == "injected-ttl-expired"]
+        assert [r.location for r in expired] == ["r3"]
 
     def test_endpoint_without_server_refuses_http_syn(self):
         endpoint = Endpoint("dns-only", "100.96.0.9", asn=1, server=None)

@@ -1,10 +1,10 @@
-"""The unified transit engine: direction semantics as declared policy.
+"""The one hop walk: how its walk kinds differ, seen through the public send.
 
-Every walk kind (forward client traffic, injected-to-server forgeries,
-reverse return traffic) runs through ``Simulator._run_transit``; these
-tests pin the policy-bit matrix, the shared loss-roll stream, TTL
-decrement parity across directions, and the single-resolve-per-path
-memoization the engine relies on.
+A client probe, a device forgery carried on to the server, and return
+traffic (endpoint replies, router ICMP, forgeries to the client) all
+walk the compiled plan of ``repro.netsim.batch``. These tests pin what
+sets the kinds apart, the loss-roll stream, TTL decrement in every
+direction, and the single-resolve-per-path memoization plans rely on.
 """
 
 import inspect
@@ -14,19 +14,17 @@ import pytest
 
 from repro.netmodel import tcp as tcpmod
 from repro.netmodel.packet import tcp_packet
-from repro.netsim.routing import Hop, Path, Route
-from repro.netsim.simulator import (
-    CLIENT_LINK,
-    POLICY_FORWARD,
-    POLICY_INJECTED_TO_SERVER,
-    POLICY_REVERSE,
-    Simulator,
-    Transit,
-    TransitPolicy,
-)
+from repro.netsim import batch, simulator
+from repro.netsim.faults import FaultPlan, FaultState, LossProfile
+from repro.netsim.interfaces import LinkDevice, Verdict
+from repro.netsim.simulator import EndpointStack, Simulator
+from repro.netsim.tcpstack import Connection
 from repro.telemetry import Telemetry
 
 from ..helpers import CLIENT_IP, ENDPOINT_IP, build_linear_world
+
+PAYLOAD = b"GET / HTTP/1.1\r\nHost: www.ok.example\r\n\r\n"
+LOSSLESS = FaultPlan(loss=LossProfile(default_rate=0.0))
 
 
 def _path_for(world):
@@ -47,62 +45,211 @@ def _probe(ttl=64, payload=b"", sport=40000):
     )
 
 
-def _reverse_packet(ttl=64):
-    return tcp_packet(
-        ENDPOINT_IP,
-        CLIENT_IP,
-        80,
-        40000,
-        flags=tcpmod.SYN | tcpmod.ACK,
-        seq=1_000_000,
-        ack=101,
-        ttl=ttl,
-    )
+class _Forger(LinkDevice):
+    """On-path device forging one packet per client payload it sees:
+    toward the client (``kind="reverse"``), toward the server on an
+    unknown flow (``"injected"``), or nothing (``"forward"``)."""
+
+    name = "forger"
+    in_path = False
+
+    def __init__(self, kind="forward", ttl=64):
+        self.kind = kind
+        self.ttl = ttl
+
+    def inspect(self, packet, ctx):
+        if not (packet.is_tcp and packet.tcp.payload == PAYLOAD):
+            return Verdict.pass_through()
+        if self.kind == "reverse":
+            forged = tcp_packet(
+                ENDPOINT_IP, CLIENT_IP, 80, packet.tcp.sport,
+                flags=tcpmod.RST, ttl=self.ttl,
+            )
+            return Verdict(inject_to_client=[forged], note="forge")
+        if self.kind == "injected":
+            forged = tcp_packet(
+                CLIENT_IP, ENDPOINT_IP, packet.tcp.sport + 1, 80,
+                flags=tcpmod.PSH | tcpmod.ACK, seq=999, ttl=self.ttl,
+                payload=b"forged",
+            )
+            forged.injected = True
+            return Verdict(inject_to_server=[forged], note="forge")
+        return Verdict.pass_through()
+
+
+class _Watcher(LinkDevice):
+    """On-path device that records every packet it inspects."""
+
+    name = "watcher"
+    in_path = False
+
+    def __init__(self):
+        self.seen = []
+
+    def inspect(self, packet, ctx):
+        self.seen.append(packet)
+        return Verdict.pass_through()
+
+
+def _forging_world(kind, ttl=64):
+    """Five routers: the forger on the link into r2, a watcher on the
+    link into r4; r1 rewrites the TOS byte and r3 clears the IP flags."""
+    world = build_linear_world(device=_Forger(kind, ttl), device_link=2)
+    watcher = _Watcher()
+    _path_for(world).hops[4].link_devices.append(watcher)
+    world.routers[1].rewrite_tos = 0x28
+    world.routers[3].rewrite_ip_flags = 0
+    return world, watcher
+
+
+def _payload_send(world, plan=None, ttl=64):
+    """Connect, install ``plan``, send one payload with ``ttl`` (capture
+    on); return (the received packets, the payload send's counters)."""
+    sim = world.sim
+    conn = Connection(sim, world.client, ENDPOINT_IP, 80, sport=45000)
+    assert conn.connect()
+    sim.set_fault_plan(plan)
+    tel = Telemetry()
+    sim.set_telemetry(tel)
+    sim._capture_enabled = True
+    sim.capture.clear()
+    received = conn.send_payload(PAYLOAD, ttl=ttl).received
+    return received, tel.counters
+
+
+@pytest.fixture
+def rolls(monkeypatch):
+    """Names of the nodes whose incoming link rolled loss under a fault
+    plan, in roll order (None = the link into the client)."""
+    seen = []
+    link_lost = FaultState.link_lost
+
+    def recording(state, node):
+        seen.append(None if node is None else node.name)
+        return link_lost(state, node)
+
+    monkeypatch.setattr(FaultState, "link_lost", recording)
+    return seen
+
+
+@pytest.fixture
+def arrivals(monkeypatch):
+    """(source port, TOS, IP flags) of every packet an endpoint's TCP
+    stack receives."""
+    seen = []
+    receive = EndpointStack.receive
+
+    def recording(stack, packet, clock):
+        seen.append((packet.tcp.sport, packet.ip.tos, packet.ip.flags))
+        return receive(stack, packet, clock)
+
+    monkeypatch.setattr(EndpointStack, "receive", recording)
+    return seen
 
 
 class TestPolicyMatrix:
-    """The declared divergence bits, pinned one policy at a time."""
+    """What sets the walk kinds apart, one kind at a time: a probe is
+    inspected, answered with ICMP on expiry, rolls its first link and
+    takes router rewrites; a forgery to the server skips inspection,
+    expires silently and skips its device's link but still takes
+    rewrites; return traffic is never inspected or rewritten and
+    expires silently, but rolls every link it crosses."""
 
     @pytest.mark.parametrize(
-        "policy,inspect_devices,icmp,first_link_loss,transforms,services",
+        "kind,inspected,icmp,walk_rolls,arrival",
         [
-            (POLICY_FORWARD, True, True, True, True, True),
-            (POLICY_INJECTED_TO_SERVER, False, False, False, True, False),
-            (POLICY_REVERSE, False, False, True, False, False),
+            # Rewritten by r1 (TOS 0x28) and r3 (IP flags cleared).
+            ("forward", True, True, ["r0", "r1", "r2", "r3", "r4", "endpoint"], (0x28, 0)),
+            # Past r1 already; r3 clears its flags.
+            ("injected", False, False, ["r3", "r4", "endpoint"], (0, 0)),
+            # Crosses r1 but keeps its TOS 0 and DF flag.
+            ("reverse", False, False, ["r1", "r0", None], (0, 2)),
         ],
         ids=["forward", "injected", "reverse"],
     )
     def test_bits(
-        self, policy, inspect_devices, icmp, first_link_loss, transforms, services
+        self, kind, inspected, icmp, walk_rolls, arrival, rolls, arrivals
     ):
-        assert policy.inspect_devices is inspect_devices
-        assert policy.emit_icmp_on_expiry is icmp
-        assert policy.loss_on_first_link is first_link_loss
-        assert policy.apply_router_transforms is transforms
-        assert policy.deliver_via_services is services
+        world, watcher = _forging_world(kind)
+        received, _ = _payload_send(world, LOSSLESS)
+        if kind == "forward":
+            # The probe's own rolls come first.
+            assert rolls[:6] == walk_rolls
+            walked = [p for p in watcher.seen if p.tcp.payload == PAYLOAD]
+            arrived = arrivals[-1]
+        elif kind == "injected":
+            # The probe rolls r0..r2 up to the forger, then the forgery
+            # walks on from r2 — which it does not roll — to the endpoint.
+            assert rolls[3:6] == walk_rolls
+            walked = [p for p in watcher.seen if p.tcp.payload == b"forged"]
+            arrived = next(a for a in arrivals if a[0] == 45001)
+        else:
+            assert rolls[3:6] == walk_rolls
+            walked = [p for p in watcher.seen if p.ip.src == ENDPOINT_IP]
+            forged = [p for p in received if p.is_tcp and p.tcp.flags & tcpmod.RST]
+            arrived = (None, forged[0].ip.tos, forged[0].ip.flags)
+        assert bool(walked) is inspected
+        assert arrived[1:] == arrival
+
+        # TTL 1 forgeries / a TTL 2 probe: each walk expires once.
+        expired, _ = _forging_world(kind, ttl=1)
+        _, counters = _payload_send(expired, ttl=2 if kind == "forward" else 64)
+        assert any(r.event.endswith("ttl-expired") for r in expired.sim.capture)
+        assert (counters.get("sim.icmp_generated", 0) > 0) is icmp
 
     def test_capture_labels(self):
-        assert POLICY_FORWARD.loss_event == "loss"
-        assert POLICY_INJECTED_TO_SERVER.loss_event == "loss-injected"
-        assert POLICY_REVERSE.loss_event == "loss-reverse"
-        assert POLICY_FORWARD.expiry_event == "ttl-expired"
-        assert POLICY_INJECTED_TO_SERVER.expiry_event == "injected-ttl-expired"
-        assert POLICY_REVERSE.expiry_event == "reverse-ttl-expired"
-
-    def test_policies_are_immutable(self):
-        with pytest.raises(Exception):
-            POLICY_FORWARD.inspect_devices = False
+        # Expiry labels: a TTL-2 probe, then TTL-1 forgeries each way.
+        labels = set()
+        for kind, probe_ttl in (("forward", 2), ("injected", 64), ("reverse", 64)):
+            world, _ = _forging_world(kind, ttl=1)
+            _payload_send(world, ttl=probe_ttl)
+            labels |= {r.event for r in world.sim.capture}
+        assert {"ttl-expired", "injected-ttl-expired", "reverse-ttl-expired"} <= labels
+        # Loss labels, one per walk kind: seeded payload sends at 40%
+        # uniform loss on every link, with forgeries in both directions
+        # (each connection is set up loss-free).
+        labels = set()
+        for kind in ("injected", "reverse"):
+            world, _ = _forging_world(kind)
+            sim = world.sim
+            sim._capture_enabled = True
+            for sport in range(45000, 45020):
+                sim.loss_rate = 0.0
+                conn = Connection(sim, world.client, ENDPOINT_IP, 80, sport=sport)
+                assert conn.connect()
+                sim.loss_rate = 0.4
+                conn.send_payload(PAYLOAD)
+            labels |= {r.event for r in sim.capture}
+        assert {"loss", "loss-injected", "loss-reverse"} <= labels
 
 
 class TestSingleHopLoop:
-    def test_exactly_one_hop_traversal_loop(self):
-        """The refactor's contract: one loop walks every packet."""
-        source = inspect.getsource(Simulator)
-        assert source.count("for index in") == 1
+    def test_exactly_one_hop_traversal_loop(self, monkeypatch):
+        """One walk moves every packet: the simulator holds no hop loop
+        and its send is the packet plane's."""
+        source = inspect.getsource(simulator)
+        assert "for index in" not in source and ".hops" not in source
+        sent = []
+        engine_send = batch.BatchEngine.send
+
+        def spy(engine, packet, wire_bytes=None):
+            sent.append(packet)
+            return engine_send(engine, packet, wire_bytes)
+
+        monkeypatch.setattr(batch.BatchEngine, "send", spy)
+        world = build_linear_world(n_routers=4)
+        assert world.sim.send_from_client(_probe())
+        assert len(sent) == 1
 
     def test_legacy_walk_methods_are_gone(self):
-        for name in ("_walk_forward", "_walk_reverse", "_walk_injected_to_server"):
+        for name in (
+            "_walk_forward", "_walk_reverse", "_walk_injected_to_server",
+            "_run_transit", "_expire_at_router", "_deliver_to_endpoint",
+            "_dispatch_injections", "_link_lost",
+        ):
             assert not hasattr(Simulator, name)
+        for name in ("Transit", "TransitPolicy", "POLICY_FORWARD", "CLIENT_LINK"):
+            assert not hasattr(simulator, name)
 
 
 class TestLossRollStream:
@@ -131,38 +278,33 @@ class TestLossRollStream:
             )
         assert outcomes[0] == outcomes[1]
 
-    def test_injected_transit_skips_entry_link_roll(self):
+    def test_injected_transit_skips_entry_link_roll(self, rolls):
         """The device's own link carries no loss roll; later links do."""
-        world = build_linear_world(n_routers=3, loss_rate=1.0, seed=1)
-        sim = world.sim
-        sim._capture_enabled = True
-        path = _path_for(world)
-        forged = _probe(payload=b"forged", sport=47001)
-        forged.injected = True
-        deliveries = []
-        sim._run_transit(
-            Transit(forged, path, 2, POLICY_INJECTED_TO_SERVER, CLIENT_IP),
-            deliveries,
-        )
-        # With 100% loss the packet survives its entry link (no roll)
-        # and dies on the very next one.
-        events = [(r.location, r.event) for r in sim.capture]
-        assert events == [("endpoint", "loss-injected")]
-        assert deliveries == []
+        world, _ = _forging_world("injected")
+        _payload_send(world, LOSSLESS)
+        # Probe up to the forger, then the forgery: r3 follows r2.
+        assert rolls[:6] == ["r0", "r1", "r2", "r3", "r4", "endpoint"]
+        # With 100% loss on r3's link, the forgery dies there.
+        world, _ = _forging_world("injected")
+        _payload_send(world, FaultPlan(loss=LossProfile(link_rates=(("r3", 1.0),))))
+        lost = [(r.location, r.event) for r in world.sim.capture if "loss" in r.event]
+        assert lost == [("r3", "loss-injected"), ("r3", "loss")]
 
     def test_reverse_client_link_loss_is_silent(self):
         """Loss on the final link into the client drops the delivery
         without a capture record (there is no hop to attribute it to)."""
-        world = build_linear_world(n_routers=2, loss_rate=1.0, seed=3)
+        world = build_linear_world(n_routers=2, seed=3)
         sim = world.sim
         sim._capture_enabled = True
-        deliveries = []
-        sim._run_transit(
-            Transit(_reverse_packet(), _path_for(world), 0, POLICY_REVERSE, CLIENT_IP),
-            deliveries,
-        )
-        assert deliveries == []
-        assert sim.capture == []
+        # Every hop's link is lossless; only the client link (the
+        # profile's default) always loses.
+        sim.set_fault_plan(FaultPlan(loss=LossProfile(
+            default_rate=1.0,
+            link_rates=(("r0", 0.0), ("r1", 0.0), ("endpoint", 0.0)),
+        )))
+        assert sim.send_from_client(_probe()) == []
+        assert [r.event for r in sim.capture] == ["delivered"]
+        assert sim._faults.counters.packets_lost == 1
 
 
 class TestTTLDecrementParity:
@@ -180,48 +322,29 @@ class TestTTLDecrementParity:
 
     def test_reverse_arrival_ttl(self):
         world = build_linear_world(n_routers=4, seed=5)
-        deliveries = []
-        world.sim._run_transit(
-            Transit(
-                _reverse_packet(ttl=64),
-                _path_for(world),
-                4,
-                POLICY_REVERSE,
-                CLIENT_IP,
-            ),
-            deliveries,
-        )
-        assert len(deliveries) == 1
-        assert deliveries[0].ip.ttl == 64 - 4
+        (synack,) = world.sim.send_from_client(_probe(ttl=64))
+        assert synack.tcp.flags & tcpmod.SYN and synack.tcp.flags & tcpmod.ACK
+        assert synack.ip.ttl == 64 - 4
 
     @pytest.mark.parametrize(
-        "policy", [POLICY_INJECTED_TO_SERVER, POLICY_REVERSE], ids=["injected", "reverse"]
+        "kind,counter,event",
+        [
+            ("injected", "sim.injected_ttl_expired", "injected-ttl-expired"),
+            ("reverse", "sim.reverse_ttl_expired", "reverse-ttl-expired"),
+        ],
+        ids=["injected", "reverse"],
     )
-    def test_silent_expiry_counted(self, policy):
-        world = build_linear_world(n_routers=4, seed=5)
-        sim = world.sim
-        sim._capture_enabled = True
-        tel = Telemetry()
-        sim.set_telemetry(tel)
-        deliveries = []
-        if policy is POLICY_REVERSE:
-            transit = Transit(
-                _reverse_packet(ttl=1), _path_for(world), 4, POLICY_REVERSE, CLIENT_IP
-            )
-        else:
-            forged = _probe(ttl=1, payload=b"x", sport=47002)
-            forged.injected = True
-            transit = Transit(
-                forged, _path_for(world), 0, POLICY_INJECTED_TO_SERVER, CLIENT_IP
-            )
-        sim._run_transit(transit, deliveries)
-        assert deliveries == []
-        assert tel.counters[policy.expiry_counter] == 1
-        assert any(r.event == policy.expiry_event for r in sim.capture)
+    def test_silent_expiry_counted(self, kind, counter, event):
+        world, _ = _forging_world(kind, ttl=1)
+        received, counters = _payload_send(world)
+        assert counters[counter] == 1
+        assert "sim.icmp_generated" not in counters
+        assert any(r.event == event for r in world.sim.capture)
+        assert not any(p.is_tcp and p.tcp.flags & tcpmod.RST for p in received)
 
 
 class TestPathResolutionMemoization:
-    """One path resolves at most once, no matter how many transits
+    """One path resolves at most once, no matter how many walks
     (forward, ICMP returns, injections) traverse it."""
 
     def test_resolve_returns_cached_list(self):
@@ -243,7 +366,7 @@ class TestPathResolutionMemoization:
 
         path.resolve = counting_resolve
         # A TTL-limited probe triggers a router expiry, whose ICMP
-        # response spawns a reverse transit over the same path.
+        # response walks back over the same path.
         responses = world.sim.send_from_client(_probe(ttl=2))
         assert any(p.is_icmp for p in responses)
         assert len(calls) == 1

@@ -4,6 +4,9 @@ import json
 
 import pytest
 
+from repro.netmodel import tcp as tcpmod
+from repro.netmodel.packet import tcp_packet
+from repro.netsim.interfaces import LinkDevice, Verdict
 from repro.telemetry import (
     DEFAULT_MAX_EVENTS,
     NULL_TELEMETRY,
@@ -211,79 +214,71 @@ class TestRunReport:
         assert RunReport().render().startswith("Run report")
 
 
-class TestTransitExpiryCounters:
-    """Telemetry parity for silent TTL expiry: reverse and injected
-    transits count their deaths just like forward expiry does."""
+class _Forger(LinkDevice):
+    """A device that forges one low-TTL packet per payload it sees,
+    toward the client (``to_client``) or toward the server."""
 
-    def _world(self):
-        from .helpers import build_linear_world
+    name = "forger"
+    in_path = False
 
-        return build_linear_world(n_routers=4, seed=5)
+    def __init__(self, to_client: bool):
+        self.to_client = to_client
 
-    def test_reverse_expiry_counter(self):
-        from repro.netmodel import tcp as tcpmod
-        from repro.netmodel.packet import tcp_packet
-        from repro.netsim.simulator import POLICY_REVERSE, Transit
-
-        world = self._world()
-        sim = world.sim
-        tel = Telemetry()
-        sim.set_telemetry(tel)
-        route = sim.topology.route_between(world.client.ip, world.endpoint.ip)
-        packet = tcp_packet(
-            world.endpoint.ip,
-            world.client.ip,
-            80,
-            40000,
-            flags=tcpmod.SYN | tcpmod.ACK,
-            ttl=1,
-        )
-        deliveries = []
-        sim._run_transit(
-            Transit(packet, route.paths[0], 4, POLICY_REVERSE, world.client.ip),
-            deliveries,
-        )
-        assert deliveries == []
-        assert tel.counters["sim.reverse_ttl_expired"] == 1
-
-    def test_injected_expiry_counter(self):
-        from repro.netmodel import tcp as tcpmod
-        from repro.netmodel.packet import tcp_packet
-        from repro.netsim.simulator import POLICY_INJECTED_TO_SERVER, Transit
-
-        world = self._world()
-        sim = world.sim
-        tel = Telemetry()
-        sim.set_telemetry(tel)
-        route = sim.topology.route_between(world.client.ip, world.endpoint.ip)
+    def inspect(self, packet, ctx):
+        if not (packet.is_tcp and packet.tcp.payload):
+            return Verdict.pass_through()
+        if self.to_client:
+            forged = tcp_packet(
+                packet.ip.dst, packet.ip.src, packet.tcp.dport,
+                packet.tcp.sport, flags=tcpmod.RST, ttl=1,
+            )
+            return Verdict(inject_to_client=[forged])
         forged = tcp_packet(
-            world.client.ip,
-            world.endpoint.ip,
-            47001,
-            80,
-            flags=tcpmod.PSH | tcpmod.ACK,
-            ttl=1,
+            packet.ip.src, packet.ip.dst, packet.tcp.sport + 1,
+            packet.tcp.dport, flags=tcpmod.PSH | tcpmod.ACK, ttl=1,
             payload=b"forged",
         )
         forged.injected = True
-        deliveries = []
-        sim._run_transit(
-            Transit(
-                forged,
-                route.paths[0],
-                0,
-                POLICY_INJECTED_TO_SERVER,
-                world.client.ip,
-            ),
-            deliveries,
+        return Verdict(inject_to_server=[forged])
+
+
+class TestTransitExpiryCounters:
+    """Telemetry parity for silent TTL expiry: reverse and injected
+    walks count their deaths just like forward expiry does."""
+
+    def _expiries(self, to_client):
+        from repro.netsim.tcpstack import open_connection
+
+        from .helpers import ENDPOINT_IP, build_linear_world
+
+        # The forger sits on the link into r3: a TTL-1 forgery to the
+        # client dies at r2, one to the server at r3.
+        world = build_linear_world(
+            n_routers=4, seed=5, device=_Forger(to_client), device_link=3
         )
-        assert deliveries == []
-        assert tel.counters["sim.injected_ttl_expired"] == 1
+        tel = Telemetry()
+        world.sim.set_telemetry(tel)
+        conn = open_connection(world.sim, world.client, ENDPOINT_IP, 80)
+        received = conn.send_payload(b"GET / HTTP/1.1\r\n\r\n").received
+        assert not any(p.is_tcp and p.tcp.flags & tcpmod.RST for p in received)
+        return tel.counters
+
+    def test_reverse_expiry_counter(self):
+        counters = self._expiries(to_client=True)
+        assert counters["sim.reverse_ttl_expired"] == 1
+        assert "sim.injected_ttl_expired" not in counters
+
+    def test_injected_expiry_counter(self):
+        counters = self._expiries(to_client=False)
+        assert counters["sim.injected_ttl_expired"] == 1
+        assert "sim.reverse_ttl_expired" not in counters
 
     def test_counters_absent_without_expiry(self):
         from repro.netmodel.packet import tcp_packet
 
-        world = self._world()
+        from .helpers import build_linear_world
+
+        world = build_linear_world(n_routers=4, seed=5)
         tel = Telemetry()
         world.sim.set_telemetry(tel)
         world.sim.send_from_client(
@@ -294,8 +289,7 @@ class TestTransitExpiryCounters:
 
 
 class TestBatchCounters:
-    """The batched packet plane's observability (PR 6 satellite):
-    fast-path/fallback counters and the per-batch size event, all
+    """The packet plane's observability: the per-batch size event,
     rendered by ``repro report`` like any other counter."""
 
     def _world(self):
@@ -316,29 +310,6 @@ class TestBatchCounters:
             net=world.sim.net_context,
         )
 
-    def test_fast_path_counter(self):
-        world = self._world()
-        tel = Telemetry()
-        world.sim.set_telemetry(tel)
-        engine = world.sim.batch_engine()
-        for i in range(3):
-            engine.send(self._syn(world, 40000 + i))
-        assert tel.counters["sim.batch_fast_path"] == 3
-        assert "sim.batch_scalar_fallback" not in tel.counters
-
-    def test_fallback_counter_under_fault_plan(self):
-        from repro.netsim.faults import PRESETS
-
-        world = self._world()
-        tel = Telemetry()
-        world.sim.set_telemetry(tel)
-        world.sim.set_fault_plan(PRESETS["lossy"])
-        engine = world.sim.batch_engine()
-        for i in range(2):
-            engine.send(self._syn(world, 41000 + i))
-        assert tel.counters["sim.batch_scalar_fallback"] == 2
-        assert "sim.batch_fast_path" not in tel.counters
-
     def test_batch_event_size_histogram(self):
         world = self._world()
         tel = Telemetry()
@@ -349,17 +320,9 @@ class TestBatchCounters:
                 engine.send(self._syn(world, 42000 + i))
         assert tel.counters["sim.batches"] == 1
         events = [e for e in tel.events if e["kind"] == "sim.batch"]
-        assert events == [
-            {
-                "kind": "sim.batch",
-                "label": "test-sweep",
-                "size": 4,
-                "fast": 4,
-                "fallback": 0,
-            }
-        ]
+        assert events == [{"kind": "sim.batch", "label": "test-sweep", "size": 4}]
 
-    def test_batch_event_mixes_fast_and_fallback(self):
+    def test_batch_counts_faulted_and_direct_sends(self):
         from repro.netsim.faults import PRESETS
 
         world = self._world()
@@ -369,11 +332,10 @@ class TestBatchCounters:
         with engine.batch("mixed"):
             engine.send(self._syn(world, 43000))
             world.sim.set_fault_plan(PRESETS["lossy"])
-            engine.send(self._syn(world, 43001))
+            world.sim.send_from_client(self._syn(world, 43001))
         event = [e for e in tel.events if e["kind"] == "sim.batch"][0]
         assert event["size"] == 2
-        assert event["fast"] == 1
-        assert event["fallback"] == 1
+        assert tel.counters["sim.client_packets"] == 2
 
     def test_counters_surface_in_run_report(self):
         world = self._world()
@@ -383,10 +345,10 @@ class TestBatchCounters:
         with engine.batch("sweep"):
             engine.send(self._syn(world, 44000))
         report = tel.build_report()
-        assert report.counters["sim.batch_fast_path"] == 1
+        assert report.counters["sim.client_packets"] == 1
         assert report.counters["sim.batches"] == 1
         rendered = report.render()
-        assert "sim.batch_fast_path" in rendered
+        assert "sim.client_packets" in rendered
         assert "sim.batches" in rendered
 
     def test_measurement_tools_frame_batches(self):
@@ -404,5 +366,4 @@ class TestBatchCounters:
         events = [e for e in tel.events if e["kind"] == "sim.batch"]
         assert len(events) == 1
         assert events[0]["label"] == "centrace.sweep"
-        assert events[0]["size"] == events[0]["fast"] + events[0]["fallback"]
-        assert events[0]["size"] > 0
+        assert events[0]["size"] == tel.counters["sim.client_packets"] > 0

@@ -30,8 +30,8 @@ left, and therefore no RP502 pragmas in the allocator modules.
   call or mutable value — ``itertools.count(...)``, a cursor list, a
   stateful object — or any ``global`` rebind, is flagged. This is the
   guard that keeps the old counter ritual from creeping back in (and
-  keeps the batch engine's plan/route caches on the engine instance,
-  where ``Simulator.reset`` governs them).
+  keeps the packet plane's path-plan cache on the engine instance,
+  where ``Simulator.reset`` governs it).
 
 Scope (RP501/RP502): ``repro.netmodel``, ``repro.netsim``,
 ``repro.devices``, ``repro.services``, ``repro.core`` — everything a
