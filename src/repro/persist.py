@@ -757,8 +757,8 @@ class UnitCache:
     repo-wide contract that makes this sound.
 
     Loads are tolerant of a corrupt *final* line (a crash mid-append
-    loses that one record, never the cache); corruption anywhere else is
-    a :class:`PersistError`. ``store.unit_cache_*`` counters flow to the
+    loses that one record, never the cache; the next append first cuts
+    it away); corruption anywhere else is a :class:`PersistError`. ``store.unit_cache_*`` counters flow to the
     supplied telemetry sink.
     """
 
@@ -773,13 +773,13 @@ class UnitCache:
         self.telemetry = telemetry
         self._entries: Dict[str, Dict] = {}
         self._lines: Dict[str, int] = {}  # key -> line, for loaded entries
-        self._load()
-
-    def _load(self) -> None:
         # Byte length to cut the file back to before the next append:
         # set when the file does not end with an intact, terminated
         # record line (a torn append), None when it does.
         self._cut_at: Optional[int] = None
+        self._load()
+
+    def _load(self) -> None:
         if not self.path.exists():
             return
         data = self.path.read_bytes()

@@ -13,6 +13,9 @@ from typing import List, Optional, Sequence
 from repro.devices.base import CensorshipDevice
 from repro.devices.vendors import VendorProfile, make_device
 from repro.geo.asdb import ASDatabase
+from repro.netmodel import tcp as tcpmod
+from repro.netmodel.packet import tcp_packet
+from repro.netsim.interfaces import LinkDevice, Verdict
 from repro.netsim.routing import Hop, Path, Route
 from repro.netsim.simulator import Simulator
 from repro.netsim.topology import Client, Endpoint, Router, Topology
@@ -103,3 +106,36 @@ def make_profile_device(
     **kwargs,
 ) -> CensorshipDevice:
     return make_device(profile, "test-device", domains, **kwargs)
+
+
+class Forger(LinkDevice):
+    """On-path device forging one packet per client payload it sees:
+    an RST toward the client (``kind="reverse"``), a data segment
+    toward the server on an unknown flow (``"injected"``), or nothing
+    (``"forward"``), each with TTL ``ttl``."""
+
+    name = "forger"
+    in_path = False
+
+    def __init__(self, kind: str = "forward", ttl: int = 64) -> None:
+        self.kind = kind
+        self.ttl = ttl
+
+    def inspect(self, packet, ctx):
+        if not (packet.is_tcp and packet.tcp.payload):
+            return Verdict.pass_through()
+        src, dst = packet.ip.src, packet.ip.dst
+        sport, dport = packet.tcp.sport, packet.tcp.dport
+        if self.kind == "reverse":
+            forged = tcp_packet(
+                dst, src, dport, sport, flags=tcpmod.RST, ttl=self.ttl
+            )
+            return Verdict(inject_to_client=[forged], note="forge")
+        if self.kind == "injected":
+            forged = tcp_packet(
+                src, dst, sport + 1, dport, flags=tcpmod.PSH | tcpmod.ACK,
+                seq=999, ttl=self.ttl, payload=b"forged",
+            )
+            forged.injected = True
+            return Verdict(inject_to_server=[forged], note="forge")
+        return Verdict.pass_through()

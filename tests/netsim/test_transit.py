@@ -21,7 +21,7 @@ from repro.netsim.simulator import EndpointStack, Simulator
 from repro.netsim.tcpstack import Connection
 from repro.telemetry import Telemetry
 
-from ..helpers import CLIENT_IP, ENDPOINT_IP, build_linear_world
+from ..helpers import CLIENT_IP, ENDPOINT_IP, Forger, build_linear_world
 
 PAYLOAD = b"GET / HTTP/1.1\r\nHost: www.ok.example\r\n\r\n"
 LOSSLESS = FaultPlan(loss=LossProfile(default_rate=0.0))
@@ -45,38 +45,6 @@ def _probe(ttl=64, payload=b"", sport=40000):
     )
 
 
-class _Forger(LinkDevice):
-    """On-path device forging one packet per client payload it sees:
-    toward the client (``kind="reverse"``), toward the server on an
-    unknown flow (``"injected"``), or nothing (``"forward"``)."""
-
-    name = "forger"
-    in_path = False
-
-    def __init__(self, kind="forward", ttl=64):
-        self.kind = kind
-        self.ttl = ttl
-
-    def inspect(self, packet, ctx):
-        if not (packet.is_tcp and packet.tcp.payload == PAYLOAD):
-            return Verdict.pass_through()
-        if self.kind == "reverse":
-            forged = tcp_packet(
-                ENDPOINT_IP, CLIENT_IP, 80, packet.tcp.sport,
-                flags=tcpmod.RST, ttl=self.ttl,
-            )
-            return Verdict(inject_to_client=[forged], note="forge")
-        if self.kind == "injected":
-            forged = tcp_packet(
-                CLIENT_IP, ENDPOINT_IP, packet.tcp.sport + 1, 80,
-                flags=tcpmod.PSH | tcpmod.ACK, seq=999, ttl=self.ttl,
-                payload=b"forged",
-            )
-            forged.injected = True
-            return Verdict(inject_to_server=[forged], note="forge")
-        return Verdict.pass_through()
-
-
 class _Watcher(LinkDevice):
     """On-path device that records every packet it inspects."""
 
@@ -94,7 +62,7 @@ class _Watcher(LinkDevice):
 def _forging_world(kind, ttl=64):
     """Five routers: the forger on the link into r2, a watcher on the
     link into r4; r1 rewrites the TOS byte and r3 clears the IP flags."""
-    world = build_linear_world(device=_Forger(kind, ttl), device_link=2)
+    world = build_linear_world(device=Forger(kind, ttl), device_link=2)
     watcher = _Watcher()
     _path_for(world).hops[4].link_devices.append(watcher)
     world.routers[1].rewrite_tos = 0x28

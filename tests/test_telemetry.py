@@ -5,8 +5,6 @@ import json
 import pytest
 
 from repro.netmodel import tcp as tcpmod
-from repro.netmodel.packet import tcp_packet
-from repro.netsim.interfaces import LinkDevice, Verdict
 from repro.telemetry import (
     DEFAULT_MAX_EVENTS,
     NULL_TELEMETRY,
@@ -214,47 +212,19 @@ class TestRunReport:
         assert RunReport().render().startswith("Run report")
 
 
-class _Forger(LinkDevice):
-    """A device that forges one low-TTL packet per payload it sees,
-    toward the client (``to_client``) or toward the server."""
-
-    name = "forger"
-    in_path = False
-
-    def __init__(self, to_client: bool):
-        self.to_client = to_client
-
-    def inspect(self, packet, ctx):
-        if not (packet.is_tcp and packet.tcp.payload):
-            return Verdict.pass_through()
-        if self.to_client:
-            forged = tcp_packet(
-                packet.ip.dst, packet.ip.src, packet.tcp.dport,
-                packet.tcp.sport, flags=tcpmod.RST, ttl=1,
-            )
-            return Verdict(inject_to_client=[forged])
-        forged = tcp_packet(
-            packet.ip.src, packet.ip.dst, packet.tcp.sport + 1,
-            packet.tcp.dport, flags=tcpmod.PSH | tcpmod.ACK, ttl=1,
-            payload=b"forged",
-        )
-        forged.injected = True
-        return Verdict(inject_to_server=[forged])
-
-
 class TestTransitExpiryCounters:
     """Telemetry parity for silent TTL expiry: reverse and injected
     walks count their deaths just like forward expiry does."""
 
-    def _expiries(self, to_client):
+    def _expiries(self, kind):
         from repro.netsim.tcpstack import open_connection
 
-        from .helpers import ENDPOINT_IP, build_linear_world
+        from .helpers import ENDPOINT_IP, Forger, build_linear_world
 
         # The forger sits on the link into r3: a TTL-1 forgery to the
         # client dies at r2, one to the server at r3.
         world = build_linear_world(
-            n_routers=4, seed=5, device=_Forger(to_client), device_link=3
+            n_routers=4, seed=5, device=Forger(kind, ttl=1), device_link=3
         )
         tel = Telemetry()
         world.sim.set_telemetry(tel)
@@ -264,12 +234,12 @@ class TestTransitExpiryCounters:
         return tel.counters
 
     def test_reverse_expiry_counter(self):
-        counters = self._expiries(to_client=True)
+        counters = self._expiries("reverse")
         assert counters["sim.reverse_ttl_expired"] == 1
         assert "sim.injected_ttl_expired" not in counters
 
     def test_injected_expiry_counter(self):
-        counters = self._expiries(to_client=False)
+        counters = self._expiries("injected")
         assert counters["sim.injected_ttl_expired"] == 1
         assert "sim.reverse_ttl_expired" not in counters
 
