@@ -11,7 +11,7 @@
 """
 
 import pytest
-from conftest import run_once
+from .conftest import run_once
 
 from repro.core.centrace import CenTrace, CenTraceConfig
 from repro.core.centrace.classify import classify_measurement

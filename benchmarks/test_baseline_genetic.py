@@ -6,7 +6,7 @@ device-specific — useless as a comparable fingerprint — while CenFuzz
 spends a fixed 2x410 HTTP probes and yields the full strategy vector.
 """
 
-from conftest import run_once
+from .conftest import run_once
 
 from repro.baselines.genetic import GeneticSearch
 from repro.core.cenfuzz import CenFuzz

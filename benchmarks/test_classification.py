@@ -1,6 +1,6 @@
 """Bench: §7.1 vendor classification of unlabeled devices."""
 
-from conftest import run_once
+from .conftest import run_once
 
 from repro.experiments import sec71_classify
 

@@ -5,7 +5,7 @@ resolver, whether DNS queries for censored domains are answered by a
 forged injector (and where it sits) versus the real resolver.
 """
 
-from conftest import run_once
+from .conftest import run_once
 
 from repro.core.centrace import CenTrace, CenTraceConfig
 from repro.core.centrace.results import PROTO_DNS, TYPE_DNSINJECT

@@ -1,6 +1,6 @@
 """Benches for Figures 1, 3, 4, 5, 6, 9 and 10-12."""
 
-from conftest import run_once
+from .conftest import run_once
 
 from repro.experiments import fig1, fig3, fig4, fig5, fig6, fig9, fig10_12
 

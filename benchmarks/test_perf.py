@@ -95,7 +95,6 @@ def test_perf_campaign_serial_vs_parallel(tmp_path):
     Scale via REPRO_BENCH_SCALE (1.0 = paper-scale); the timings are
     printed (run with ``-s``).
     """
-    import hashlib
     import json
     import os
     import time
@@ -103,6 +102,7 @@ def test_perf_campaign_serial_vs_parallel(tmp_path):
     from repro.experiments.campaign import CampaignConfig, run_campaign
     from repro.geo.countries import build_world
     from repro.persist import save_campaign
+    from tests.helpers_golden import digest_dir
 
     from .conftest import BENCH_REPETITIONS, BENCH_SCALE
 
@@ -115,11 +115,9 @@ def test_perf_campaign_serial_vs_parallel(tmp_path):
         elapsed = time.perf_counter() - start  # lint: ignore[RP101] -- benchmark harness measures wall time by design
         out = tmp_path / tag
         save_campaign(campaign, str(out))
-        digest = hashlib.sha256()
-        for path in sorted(out.iterdir()):
-            digest.update(path.name.encode())
-            digest.update(path.read_bytes())
-        return elapsed, digest.hexdigest(), campaign
+        # meta.json's environment section records the worker count;
+        # the canonical digest leaves it out.
+        return elapsed, digest_dir(out), campaign
 
     serial_s, serial_digest, campaign = timed(None, "serial")
     parallel_s, parallel_digest, _ = timed(4, "parallel")

@@ -1,6 +1,6 @@
 """Benches for the in-text experiments (§4.1, §4.3, §5.3, §6.3, §7.4)."""
 
-from conftest import run_once
+from .conftest import run_once
 
 from repro.experiments import (
     sec41_pathvar,

@@ -1,6 +1,6 @@
 """Benches for Table 1 and Table 2."""
 
-from conftest import run_once
+from .conftest import run_once
 
 from repro.experiments import table1, table2
 

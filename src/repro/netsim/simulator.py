@@ -41,7 +41,7 @@ from ..netmodel import tcp as tcpmod
 from ..netmodel.netctx import NetContext, default_context
 from ..netmodel.packet import Packet
 from ..telemetry import NULL_TELEMETRY
-from .batch import BatchEngine
+from .batch import BatchEngine, Segment
 from .faults import FaultPlan, FaultState
 from .topology import Endpoint, Topology
 
@@ -236,99 +236,112 @@ class EndpointStack:
         self.open_ports = set(endpoint.services)
         if endpoint.server is not None:
             self.open_ports.update((80, 443))
-        # canonical flow tuple -> (state, next_expected_client_seq)
+        # canonical flow tuple -> connection state ("SYN_RECEIVED" or
+        # "ESTABLISHED"); a flow with no entry is unknown or torn down.
         self.flows: Dict[Tuple, str] = {}
 
     def receive(self, packet: Packet, clock: float) -> List[Packet]:
-        if packet.tcp is None:
+        """Answer ``packet`` (device forgeries, tests): the packet entry
+        point of :meth:`answer`'s state machine. Each reply's IP header
+        is a copy of ``packet``'s with addresses, TTL, TOS and ID set."""
+        tcp = packet.tcp
+        ip = packet.ip
+        if tcp is None or ip.dst != self.endpoint.ip:
             return []
-        segment = packet.tcp
-        if packet.ip.dst != self.endpoint.ip:
+        replies = self._answer(tcp, ip.src, packet.flow_key().canonical(), ip.flags)
+        return [reply.to_packet(ip) for reply in replies]
+
+    def answer(self, segment: Segment, ip_flags: int) -> List[Segment]:
+        """Answer a connection's segment record with reply records.
+
+        ``ip_flags`` is the IP flags field the segment arrived with (the
+        routers on the way may rewrite it); replies carry it, as a reply
+        built from the arriving header would.
+        """
+        if segment.dst != self.endpoint.ip:
             return []
-        flow = packet.flow_key().canonical()
-        responses: List[Packet] = []
+        return self._answer(segment, segment.src, segment.key, ip_flags)
 
-        def reply(flags: int, payload: bytes = b"", seq: int = 0, ack: int = 0) -> Packet:
-            reply_packet = Packet(
-                ip=packet.ip.copy(
-                    src=self.endpoint.ip,
-                    dst=packet.ip.src,
-                    ttl=64,
-                    tos=0,
-                    identification=self.net.next_ip_id(),
-                ),
-                tcp=tcpmod.TCPSegment(
-                    sport=segment.dport,
-                    dport=segment.sport,
-                    seq=seq,
-                    ack=ack,
-                    flags=flags,
-                    payload=payload,
-                ),
-            )
-            reply_packet.emitted_by = self.endpoint.name
-            return reply_packet
-
-        if segment.flags & tcpmod.RST:
+    def _answer(
+        self, segment, client_ip: str, flow: Tuple, ip_flags: int
+    ) -> List[Segment]:
+        """The state machine, over the TCP fields of ``segment`` (a
+        :class:`~repro.netmodel.tcp.TCPSegment` or a :class:`Segment`)
+        sent by ``client_ip`` on the canonical flow ``flow``."""
+        flags = segment.flags
+        if flags & tcpmod.RST:
             self.flows.pop(flow, None)
             return []
-        if segment.flags & tcpmod.SYN and not (segment.flags & tcpmod.ACK):
+        reply = self._reply
+        if flags & tcpmod.SYN and not (flags & tcpmod.ACK):
             if segment.dport not in self.open_ports:
                 return [
-                    reply(tcpmod.RST | tcpmod.ACK, ack=segment.seq + 1)
+                    reply(segment, client_ip, flow, ip_flags,
+                          tcpmod.RST | tcpmod.ACK, 0, segment.seq + 1)
                 ]
             self.flows[flow] = "SYN_RECEIVED"
             return [
-                reply(
-                    tcpmod.SYN | tcpmod.ACK,
-                    seq=self.ISN,
-                    ack=segment.seq + 1,
-                )
+                reply(segment, client_ip, flow, ip_flags,
+                      tcpmod.SYN | tcpmod.ACK, self.ISN, segment.seq + 1)
             ]
         state = self.flows.get(flow)
         if state is None:
             # Data for a torn-down or unknown flow: real stacks reset.
-            return [reply(tcpmod.RST, seq=segment.ack)]
-        if segment.flags & tcpmod.FIN:
+            return [reply(segment, client_ip, flow, ip_flags, tcpmod.RST, segment.ack, 0)]
+        if flags & tcpmod.FIN:
             self.flows.pop(flow, None)
             return [
-                reply(
-                    tcpmod.FIN | tcpmod.ACK,
-                    seq=self.ISN + 1,
-                    ack=segment.seq + 1,
-                )
+                reply(segment, client_ip, flow, ip_flags,
+                      tcpmod.FIN | tcpmod.ACK, self.ISN + 1, segment.seq + 1)
             ]
-        if state == "SYN_RECEIVED" and segment.flags & tcpmod.ACK and not segment.payload:
+        payload = segment.payload
+        if state == "SYN_RECEIVED" and flags & tcpmod.ACK and not payload:
             self.flows[flow] = "ESTABLISHED"
             return []
-        if segment.payload:
-            self.flows[flow] = "ESTABLISHED"
-            server = self.endpoint.server
-            if server is None:
-                return [reply(tcpmod.RST, seq=segment.ack)]
-            app = server.handle_payload(segment.payload, packet.ip.src)
-            if app.drop:
-                return []
-            if app.reset:
-                return [reply(tcpmod.RST | tcpmod.ACK, seq=segment.ack, ack=segment.seq)]
-            ack_value = segment.seq + len(segment.payload)
-            for i, body in enumerate(app.responses):
-                responses.append(
-                    reply(
-                        tcpmod.PSH | tcpmod.ACK,
-                        payload=body,
-                        seq=self.ISN + 1 + i,
-                        ack=ack_value,
-                    )
-                )
-            if app.close:
-                responses.append(
-                    reply(
-                        tcpmod.FIN | tcpmod.ACK,
-                        seq=self.ISN + 1 + len(app.responses),
-                        ack=ack_value,
-                    )
-                )
-                self.flows.pop(flow, None)
-            return responses
+        if not payload:
+            return []
+        self.flows[flow] = "ESTABLISHED"
+        server = self.endpoint.server
+        if server is None:
+            return [reply(segment, client_ip, flow, ip_flags, tcpmod.RST, segment.ack, 0)]
+        app = server.handle_payload(payload, client_ip)
+        if app.drop:
+            return []
+        if app.reset:
+            return [
+                reply(segment, client_ip, flow, ip_flags,
+                      tcpmod.RST | tcpmod.ACK, segment.ack, segment.seq)
+            ]
+        ack_value = segment.seq + len(payload)
+        responses = [
+            reply(segment, client_ip, flow, ip_flags,
+                  tcpmod.PSH | tcpmod.ACK, self.ISN + 1 + i, ack_value, body)
+            for i, body in enumerate(app.responses)
+        ]
+        if app.close:
+            responses.append(
+                reply(segment, client_ip, flow, ip_flags,
+                      tcpmod.FIN | tcpmod.ACK,
+                      self.ISN + 1 + len(app.responses), ack_value)
+            )
+            self.flows.pop(flow, None)
         return responses
+
+    def _reply(
+        self,
+        segment,
+        client_ip: str,
+        flow: Tuple,
+        ip_flags: int,
+        flags: int,
+        seq: int,
+        ack: int,
+        payload: bytes = b"",
+    ) -> Segment:
+        """A reply record to ``segment``; it draws its IP ID now."""
+        endpoint = self.endpoint
+        return Segment(
+            endpoint.ip, client_ip, segment.dport, segment.sport, flags,
+            seq, ack, 64, 0, self.net.next_ip_id(), payload, ip_flags,
+            flow, endpoint.name,
+        )

@@ -46,6 +46,7 @@ COUNTERS: Dict[str, str] = {
     "sim.injected_ttl_expired": "injected packets that expired in transit",
     "sim.reverse_ttl_expired": "reverse-path packets that expired in transit",
     "sim.batches": "batched sweeps walked by the packet plane",
+    "sim.packets_materialized": "packets built from segment records (lazy transport)",
     # -- measurement tools (core) -----------------------------------
     "centrace.measurements": "CenTrace endpoint measurements started",
     "centrace.blocked": "measurements that observed censorship",

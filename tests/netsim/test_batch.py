@@ -215,8 +215,12 @@ def dns_ladder(sim, client, ttls=tuple(range(1, 12)) + (0, 64)):
 
 def fingerprint(out, sim, tel):
     """sha256 over everything the walk must reproduce."""
+    # Counters the fingerprinted engine did not have are left out:
+    # batch framing, and how many packets the walk materialized.
     counters = {
-        k: v for k, v in tel.counters.items() if not k.startswith("sim.batch")
+        k: v
+        for k, v in tel.counters.items()
+        if not k.startswith("sim.batch") and k != "sim.packets_materialized"
     }
     observed = [
         [[p.hex() for p in probe] if isinstance(probe, tuple) else probe

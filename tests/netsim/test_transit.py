@@ -102,16 +102,23 @@ def rolls(monkeypatch):
 
 @pytest.fixture
 def arrivals(monkeypatch):
-    """(source port, TOS, IP flags) of every packet an endpoint's TCP
-    stack receives."""
+    """(source port, TOS, IP flags) of every segment an endpoint's TCP
+    stack answers: packets through ``receive``, connection records
+    through ``answer`` (TOS None: the stack never reads a record's)."""
     seen = []
     receive = EndpointStack.receive
+    answer = EndpointStack.answer
 
-    def recording(stack, packet, clock):
+    def receiving(stack, packet, clock):
         seen.append((packet.tcp.sport, packet.ip.tos, packet.ip.flags))
         return receive(stack, packet, clock)
 
-    monkeypatch.setattr(EndpointStack, "receive", recording)
+    def answering(stack, segment, ip_flags):
+        seen.append((segment.sport, None, ip_flags))
+        return answer(stack, segment, ip_flags)
+
+    monkeypatch.setattr(EndpointStack, "receive", receiving)
+    monkeypatch.setattr(EndpointStack, "answer", answering)
     return seen
 
 
@@ -144,7 +151,10 @@ class TestPolicyMatrix:
             # The probe's own rolls come first.
             assert rolls[:6] == walk_rolls
             walked = [p for p in watcher.seen if p.tcp.payload == PAYLOAD]
-            arrived = arrivals[-1]
+            # The probe is a connection record: the stack sees its IP
+            # flags, and its TOS is seen by the watcher, which every
+            # rewriting router lies before.
+            arrived = (None, walked[-1].ip.tos, arrivals[-1][2])
         elif kind == "injected":
             # The probe rolls r0..r2 up to the forger, then the forgery
             # walks on from r2 — which it does not roll — to the endpoint.
