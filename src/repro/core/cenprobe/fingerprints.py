@@ -22,8 +22,15 @@ class FingerprintRule:
     vendor: str
     is_filtering_product: bool = True  # vs. merely identifying the OS
 
+    def __post_init__(self) -> None:
+        # Compiled once; not a field, so equality and hash stay those of
+        # the pattern text.
+        object.__setattr__(
+            self, "_regex", re.compile(self.pattern, re.IGNORECASE)
+        )
+
     def search(self, text: str) -> bool:
-        return re.search(self.pattern, text, re.IGNORECASE) is not None
+        return self._regex.search(text) is not None
 
 
 RULES: List[FingerprintRule] = [
