@@ -342,10 +342,6 @@ def fuzz_targets_for(
     return targets
 
 
-#: Backwards-compatible private alias (pre-service-layer name).
-_fuzz_targets = fuzz_targets_for
-
-
 # -- campaign cache ----------------------------------------------------------
 
 _CACHE: Dict[Tuple, CountryCampaign] = {}

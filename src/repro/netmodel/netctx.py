@@ -12,10 +12,10 @@ object: the simulator (and through it, the world) holds exactly one,
 threads it through every allocation site, and the executor's per-unit
 determinism guarantee reduces to ``world.net_context.reset()``.
 
-A process-wide default context backs the deprecated module-level
-helpers (``next_ip_id()`` with no context, ``reset_ip_ids()``, ...) so
-code that builds packets outside any simulator — tests, examples —
-keeps working during the migration. Measurement code must always draw
+A process-wide default context backs the allocation helpers called
+without a context (``next_ip_id()``, ``next_ephemeral_port()``, ...),
+so code that builds packets outside any simulator — tests, examples —
+keeps working. Measurement code must always draw
 from the simulator's own context: mixing the two streams would make a
 measurement's identifiers depend on unrelated allocations elsewhere in
 the process, exactly the coupling this class removes.

@@ -27,8 +27,6 @@ from .batch import Flow, Segment
 from .simulator import Simulator
 from .topology import Client
 
-_EPHEMERAL_BASE = NetContext.EPHEMERAL_BASE
-
 
 def next_ephemeral_port(net: Optional[NetContext] = None) -> int:
     """A fresh client source port (wraps within the ephemeral range).
@@ -39,16 +37,6 @@ def next_ephemeral_port(net: Optional[NetContext] = None) -> int:
     selection bit-identically.
     """
     return (net if net is not None else default_context()).next_ephemeral_port()
-
-
-def reset_ephemeral_ports(base: int = _EPHEMERAL_BASE) -> None:
-    """Deprecated shim: rewind the *default* context's port stream.
-
-    Simulated connections now draw from the owning simulator's
-    :class:`~repro.netmodel.netctx.NetContext`; reset that instead
-    (``sim.net_context.reset()``).
-    """
-    default_context().reset_ephemeral_ports(base)
 
 
 @dataclass
