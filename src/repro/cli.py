@@ -27,9 +27,10 @@ from .core.cenprobe import CenProbe, summarize_reports
 from .core.centrace import CenTrace, CenTraceConfig
 from .geo.countries import COUNTRIES, build_world
 from .geo.drift import DriftError
-from .netsim.faults import FaultPlan
+from .netsim.faults import FaultPlan, FaultPlanError
 from .persist import (
     PersistError,
+    decode,
     encode,
     save_campaign,
     save_localization,
@@ -465,7 +466,7 @@ def cmd_facts_query(args: argparse.Namespace) -> int:
             subject=args.subject, predicate=args.predicate
         )
         if args.json:
-            print(json.dumps([t.to_dict() for t in transitions], indent=2))
+            print(json.dumps([encode(t) for t in transitions], indent=2))
             return 0
         for t in transitions:
             before = ", ".join(t.before) or "-"
@@ -587,10 +588,8 @@ def cmd_report(args: argparse.Namespace) -> int:
             )
             return 2
         try:
-            report = RunReport.from_dict(
-                json.loads(report_path.read_text())
-            )
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+            report = decode(RunReport, json.loads(report_path.read_text()))
+        except (OSError, ValueError, PersistError) as exc:
             print(
                 f"unreadable run report under {args.run!r} "
                 f"({type(exc).__name__}: {exc}) — the directory looks "
@@ -599,7 +598,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             )
             return 2
         if args.json:
-            print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+            print(json.dumps(encode(report), indent=2, sort_keys=True))
         else:
             print(report.render())
         return 0
@@ -906,10 +905,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PersistError, DriftError) as exc:
+    except (PersistError, DriftError, FaultPlanError) as exc:
         # Any analysis path reading a missing/truncated/corrupt run
-        # directory — or a malformed drift-plan spec — reports cleanly
-        # instead of tracebacking.
+        # directory — or a malformed fault- or drift-plan spec — reports
+        # cleanly instead of tracebacking.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,12 +28,11 @@ Op kinds:
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import dataclass, fields, replace
-from pathlib import Path
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..codec import Schema, read_spec, register
 from ..devices.actions import (
     KIND_BLOCKPAGE,
     KIND_DROP,
@@ -133,31 +132,6 @@ class DriftOp:
         object.__setattr__(self, "add_domains", tuple(self.add_domains))
         object.__setattr__(self, "remove_domains", tuple(self.remove_domains))
 
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> Dict:
-        out: Dict = {}
-        for f in fields(DriftOp):
-            value = getattr(self, f.name)
-            if value != f.default:
-                out[f.name] = list(value) if isinstance(value, tuple) else value
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "DriftOp":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise DriftError(f"unknown drift op fields: {sorted(unknown)}")
-        kwargs = dict(data)
-        for key in ("add_domains", "remove_domains"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise DriftError(f"bad drift op {data!r}: {exc}") from None
-
 
 @dataclass(frozen=True)
 class DriftPlan:
@@ -184,66 +158,24 @@ class DriftPlan:
         """
         return tuple(op for op in self.ops if op.epoch <= epoch)
 
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> Dict:
-        return {"name": self.name, "ops": [op.to_dict() for op in self.ops]}
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "DriftPlan":
-        unknown = set(data) - {"name", "ops"}
-        if unknown:
-            raise DriftError(f"unknown drift plan fields: {sorted(unknown)}")
-        ops = tuple(DriftOp.from_dict(op) for op in data.get("ops", ()))
-        return cls(name=data.get("name", "custom"), ops=ops)
-
     @classmethod
     def from_spec(cls, spec) -> "DriftPlan":
-        """Accept a plan, a dict, inline JSON, or an ``@file`` path.
+        """A plan from itself, a record dict, inline JSON or an ``@file``
+        path (:class:`DriftError` otherwise).
 
         (The ``auto`` CLI spelling is resolved by the caller, which has
         the world needed to seed :func:`auto_drift_plan`.)
         """
-        if isinstance(spec, cls):
-            return spec
-        if isinstance(spec, dict):
-            return cls.from_dict(spec)
-        if not isinstance(spec, str):
-            # Programmer contract: callers dispatch on type before here.
-            raise TypeError(  # lint: ignore[RP901] -- not user-reachable
-                f"cannot build a DriftPlan from {spec!r}"
-            )
-        text = spec.strip()
-        if text.startswith("@"):
-            path = Path(text[1:])
-            try:
-                raw = path.read_text()
-            except OSError as exc:
-                raise DriftError(
-                    f"cannot read drift plan file {path}: {exc}"
-                ) from exc
-            return cls.from_dict(cls._parse_json(raw, source=str(path)))
-        if text.startswith("{"):
-            return cls.from_dict(cls._parse_json(text, source="inline spec"))
-        raise DriftError(
-            f"unknown drift plan {spec!r}; expected inline JSON, "
-            "@path/to/plan.json, or 'auto' (CLI only)"
-        )
+        return read_spec(cls, spec)
 
-    @staticmethod
-    def _parse_json(raw: str, source: str) -> Dict:
-        try:
-            data = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise DriftError(
-                f"malformed drift plan JSON in {source}: {exc}"
-            ) from exc
-        if not isinstance(data, dict):
-            raise DriftError(
-                f"drift plan in {source} must be a JSON object, "
-                f"got {type(data).__name__}"
-            )
-        return data
+
+# Plans are written by hand: an op may leave out any field with a
+# default, an unknown field is an error, and an op's record leaves out
+# the fields its kind does not use.
+register(DriftError, {
+    DriftPlan: Schema(spec=True),
+    DriftOp: Schema(omit="default", spec=True),
+})
 
 
 # ---------------------------------------------------------------------------

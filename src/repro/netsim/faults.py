@@ -32,11 +32,11 @@ guarantee holds under any plan.
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import dataclass, fields
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
+
+from ..codec import Schema, read_spec, register
 
 # Device fates rolled by FlakyDeviceProfile.
 FATE_INSPECT = "inspect"
@@ -46,11 +46,7 @@ FATE_FAIL_CLOSED = "fail_closed"
 
 def _pairs(mapping) -> Tuple[Tuple, ...]:
     """Normalize a dict (or pair sequence) to a sorted, hashable tuple."""
-    if isinstance(mapping, dict):
-        items = mapping.items()
-    else:
-        items = tuple(tuple(p) for p in mapping)
-    return tuple(sorted((k, v) for k, v in items))
+    return tuple(sorted(dict(mapping).items()))
 
 
 @dataclass(frozen=True)
@@ -186,65 +182,28 @@ class FaultPlan:
             and self.flaky_devices is None
         )
 
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> Dict:
-        out: Dict = {"name": self.name}
-        for spec_field, cls in _COMPONENTS.items():
-            value = getattr(self, spec_field)
-            if value is not None:
-                out[spec_field] = {
-                    f.name: getattr(value, f.name) for f in fields(cls)
-                }
-        return out
-
     @classmethod
-    def from_dict(cls, data: Dict) -> "FaultPlan":
-        kwargs: Dict = {"name": data.get("name", "custom")}
-        for spec_field, component_cls in _COMPONENTS.items():
-            raw = data.get(spec_field)
-            if raw is not None:
-                known = {f.name for f in fields(component_cls)}
-                unknown = set(raw) - known
-                if unknown:
-                    raise ValueError(
-                        f"unknown {spec_field} fields: {sorted(unknown)}"
-                    )
-                kwargs[spec_field] = component_cls(**raw)
-        return cls(**kwargs)
-
-    @classmethod
-    def from_spec(cls, spec: "FaultPlanLike") -> "FaultPlan":
-        """Accept a plan, a preset name, inline JSON, or an @file path."""
-        if isinstance(spec, cls):
-            return spec
-        if isinstance(spec, dict):
-            return cls.from_dict(spec)
-        if not isinstance(spec, str):
-            raise TypeError(f"cannot build a FaultPlan from {spec!r}")
-        text = spec.strip()
-        if text in PRESETS:
-            return PRESETS[text]
-        if text.startswith("@"):
-            return cls.from_dict(json.loads(Path(text[1:]).read_text()))
-        if text.startswith("{"):
-            return cls.from_dict(json.loads(text))
-        raise ValueError(
-            f"unknown fault plan {spec!r}; expected one of "
-            f"{sorted(PRESETS)}, inline JSON, or @path/to/plan.json"
-        )
+    def from_spec(cls, spec) -> "FaultPlan":
+        """A plan from itself, a record dict, a preset name, inline JSON
+        or ``@path/to/plan.json`` (:class:`FaultPlanError` otherwise)."""
+        return read_spec(cls, spec, PRESETS)
 
 
-FaultPlanLike = object  # FaultPlan | str | dict — documentation alias
+class FaultPlanError(ValueError):
+    """A fault-plan spec is malformed or names an unknown preset."""
 
 
-_COMPONENTS = {
-    "loss": LossProfile,
-    "icmp_rate_limit": IcmpRateLimitProfile,
-    "delivery": DeliveryFaultProfile,
-    "churn": PathChurnProfile,
-    "flaky_devices": FlakyDeviceProfile,
-}
+# Plans are written by hand: a profile may leave out any field, an
+# unknown one is an error, and a plan's record leaves out the profiles
+# it does not use.
+register(FaultPlanError, {
+    FaultPlan: Schema(omit="none", spec=True),
+    LossProfile: Schema(spec=True),
+    IcmpRateLimitProfile: Schema(spec=True),
+    DeliveryFaultProfile: Schema(spec=True),
+    PathChurnProfile: Schema(spec=True),
+    FlakyDeviceProfile: Schema(spec=True),
+})
 
 
 # Named presets — the chaos grid and the CLI's ``--fault-plan`` accept

@@ -57,15 +57,6 @@ class Transition:
     before: Tuple[str, ...]
     after: Tuple[str, ...]
 
-    def to_dict(self) -> Dict:
-        return {
-            "subject": self.subject,
-            "predicate": self.predicate,
-            "epoch": self.epoch,
-            "before": list(self.before),
-            "after": list(self.after),
-        }
-
 
 class FactStore:
     """Append-per-epoch fact observations with interval/transition queries."""

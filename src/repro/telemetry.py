@@ -356,30 +356,6 @@ class RunReport:
             self.identity_dict(), sort_keys=True, separators=(",", ":")
         )
 
-    # -- (de)serialization ---------------------------------------------
-
-    def to_dict(self) -> Dict:
-        return {
-            "version": REPORT_VERSION,
-            "counters": self.counters,
-            "spans": self.spans,
-            "events": self.events,
-            "events_dropped": self.events_dropped,
-            "wall": self.wall,
-            "meta": self.meta,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "RunReport":
-        return cls(
-            counters=dict(data.get("counters", {})),
-            spans={k: dict(v) for k, v in data.get("spans", {}).items()},
-            events=list(data.get("events", [])),
-            events_dropped=int(data.get("events_dropped", 0)),
-            wall=dict(data.get("wall", {})),
-            meta=dict(data.get("meta", {})),
-        )
-
     # -- rendering ------------------------------------------------------
 
     def render(self, max_events: int = 10) -> str:

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.codec import decode, encode
 from repro.devices.actions import (
     IPID_CONSTANT,
     KIND_BLOCKPAGE,
@@ -81,22 +82,22 @@ class TestSerialization:
 
     def test_round_trip(self):
         plan = self.plan()
-        assert DriftPlan.from_dict(plan.to_dict()) == plan
+        assert decode(DriftPlan, encode(plan)) == plan
 
     def test_to_dict_omits_defaults(self):
-        op_dict = self.plan().ops[0].to_dict()
+        op_dict = encode(self.plan().ops[0])
         assert set(op_dict) == {
             "epoch", "kind", "target", "action_kind", "fixed_ttl"
         }
 
     def test_json_round_trip_via_from_spec(self):
         plan = self.plan()
-        assert DriftPlan.from_spec(json.dumps(plan.to_dict())) == plan
+        assert DriftPlan.from_spec(json.dumps(encode(plan))) == plan
 
     def test_from_spec_file(self, tmp_path):
         plan = self.plan()
         path = tmp_path / "plan.json"
-        path.write_text(json.dumps(plan.to_dict()))
+        path.write_text(json.dumps(encode(plan)))
         assert DriftPlan.from_spec(f"@{path}") == plan
 
     def test_from_spec_missing_file_is_typed_error(self, tmp_path):
@@ -119,10 +120,10 @@ class TestSerialization:
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(DriftError, match="unknown drift op fields"):
-            DriftOp.from_dict({"epoch": 1, "kind": "firmware",
-                               "target": "dev16", "warp": 9})
+            decode(DriftOp, {"epoch": 1, "kind": "firmware",
+                             "target": "dev16", "warp": 9})
         with pytest.raises(DriftError, match="unknown drift plan fields"):
-            DriftPlan.from_dict({"name": "p", "ops": [], "extra": 1})
+            decode(DriftPlan, {"name": "p", "ops": [], "extra": 1})
 
     def test_ops_at_is_cumulative(self):
         plan = self.plan()
@@ -248,8 +249,6 @@ class TestAutoPlan:
         assert len(plan.ops) == 2
         # The generated plan is fully declarative: it survives a JSON
         # round trip and applies to a fresh world build.
-        restored = DriftPlan.from_dict(
-            json.loads(json.dumps(plan.to_dict()))
-        )
+        restored = decode(DriftPlan, json.loads(json.dumps(encode(plan))))
         assert restored == plan
         build_world("KZ", seed=11, scale=0.35, drift_plan=restored, epoch=2)

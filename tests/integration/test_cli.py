@@ -243,6 +243,65 @@ class TestCampaign:
         assert "partially written" in capsys.readouterr().err
 
 
+def _one_error_line(capsys) -> str:
+    """The whole stderr of a typed-error exit: one ``error:`` line."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.strip().splitlines()
+    assert line.startswith("error: ")
+    return line
+
+
+class TestMalformedInputs:
+    """Malformed specs and run directories exit 2 with one message."""
+
+    @pytest.mark.parametrize("spec,message", [
+        ("@{tmp}/nope.json", "cannot read fault plan file"),
+        ("{not json", "malformed fault plan JSON"),
+        ("[1]", "must be a JSON object"),
+        ('{"loss": 5}', "expected a JSON object, got int"),
+        ('{"loss": {"rate": 0.1}}', "unknown loss profile fields"),
+        ("no-such-preset", "unknown fault plan"),
+    ], ids=[
+        "missing-file", "bad-json", "array", "loss-number",
+        "unknown-field", "unknown-preset",
+    ])
+    def test_fault_plan_spec(self, capsys, tmp_path, spec, message):
+        code = main([
+            "campaign", "--country", "AZ", "--scale", "0.35",
+            "--fault-plan", spec.replace("{tmp}", str(tmp_path)),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert message in _one_error_line(capsys)
+
+    @pytest.mark.parametrize("spec,message", [
+        ('{"ops": 5}', "DriftPlan.ops: expected a JSON array, got int"),
+        ('{"ops": [5]}', "DriftPlan.ops: expected a JSON object, got int"),
+    ], ids=["ops-number", "op-number"])
+    def test_drift_plan_spec(self, capsys, tmp_path, spec, message):
+        code = main([
+            "epochs", "--country", "KZ", "--epochs", "1",
+            "--out", str(tmp_path / "obs"), "--drift-plan", spec,
+        ])
+        assert code == 2
+        assert message in _one_error_line(capsys)
+
+    def test_facts_extract_wrong_typed_report(self, capsys, tmp_path):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "meta.json").write_text(
+            json.dumps({"version": 3, "kind": "campaign"})
+        )
+        (run / "report.json").write_text('{"version": 1, "counters": 5}')
+        code = main([
+            "facts", "extract", "--run", str(run),
+            "--store", str(tmp_path / "store"),
+        ])
+        assert code == 2
+        assert "RunReport.counters" in _one_error_line(capsys)
+
+
 class TestServe:
     def test_serve_swarm_and_report_round_trip(self, capsys, tmp_path):
         out_dir = tmp_path / "svc"

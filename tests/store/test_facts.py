@@ -170,7 +170,7 @@ class TestObservatory:
             loaded = load_campaign(out / f"epoch-{epoch:03d}")
             provenance = loaded.meta["provenance"]
             assert provenance["epoch"] == epoch
-            assert provenance["drift_plan"] == KZ_PLAN.to_dict()
+            assert provenance["drift_plan"] == encode(KZ_PLAN)
             # A reloaded campaign carries no world, so extraction drops
             # only the AS-registry facts; measurements re-extract
             # identically.

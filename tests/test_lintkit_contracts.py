@@ -7,6 +7,8 @@ violating fixture and the real tree holds a per-family clean gate.
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT))
 
@@ -359,12 +361,36 @@ class TestErrorContract:
             "def main(argv=None):\n"
             "    try:\n"
             "        return 0\n"
-            "    except PersistError:\n"
+            "    except (PersistError, FaultPlanError):\n"
             "        return 2\n",
             select=["RP902"],
         )
         assert rule_ids(found) == ["RP902"]
         assert "DriftError" in found[0].message
+
+    def test_missing_fault_plan_handler_flagged(self, tmp_path):
+        found = lint_module(
+            tmp_path,
+            "repro.cli",
+            "def main(argv=None):\n"
+            "    try:\n"
+            "        return 0\n"
+            "    except (PersistError, DriftError):\n"
+            "        return 2\n",
+            select=["RP902"],
+        )
+        assert rule_ids(found) == ["RP902"]
+        assert "FaultPlanError" in found[0].message
+
+    @pytest.mark.parametrize("module", ["repro.netsim.faults", "repro.codec"])
+    def test_fault_plan_and_codec_modules_in_scope(self, tmp_path, module):
+        found = lint_module(
+            tmp_path,
+            module,
+            "def parse(spec):\n    raise ValueError(spec)\n",
+            select=["RP901"],
+        )
+        assert rule_ids(found) == ["RP901"]
 
     def test_handler_without_exit_two_flagged(self, tmp_path):
         found = lint_module(
@@ -373,11 +399,11 @@ class TestErrorContract:
             "def main(argv=None):\n"
             "    try:\n"
             "        return 0\n"
-            "    except (PersistError, DriftError):\n"
+            "    except (PersistError, DriftError, FaultPlanError):\n"
             "        return 1\n",
             select=["RP902"],
         )
-        assert rule_ids(found) == ["RP902", "RP902"]
+        assert rule_ids(found) == ["RP902", "RP902", "RP902"]
         assert all("exit 2" in v.message for v in found)
 
     def test_tuple_handler_with_exit_two_clean(self, tmp_path):
@@ -388,7 +414,7 @@ class TestErrorContract:
             "def main(argv=None):\n"
             "    try:\n"
             "        return 0\n"
-            "    except (PersistError, DriftError) as exc:\n"
+            "    except (PersistError, DriftError, FaultPlanError) as exc:\n"
             "        print(exc, file=sys.stderr)\n"
             "        return 2\n",
             select=["RP902"],

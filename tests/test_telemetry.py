@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.netmodel import tcp as tcpmod
+from repro.persist import decode, encode
 from repro.telemetry import (
     DEFAULT_MAX_EVENTS,
     NULL_TELEMETRY,
@@ -194,9 +195,7 @@ class TestRunReport:
 
     def test_round_trips_through_dict(self):
         report = self._report()
-        restored = RunReport.from_dict(
-            json.loads(json.dumps(report.to_dict()))
-        )
+        restored = decode(RunReport, json.loads(json.dumps(encode(report))))
         assert restored.identity_json() == report.identity_json()
         assert restored.wall == report.wall
 

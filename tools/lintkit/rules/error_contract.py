@@ -4,10 +4,12 @@ The CLI promises "a clear message and exit 2, never a traceback" for
 anything a user can cause with bad inputs or a corrupt run directory.
 That promise rests on two conventions these passes enforce:
 
-* RP901 — the persistence and longitudinal layers (``repro.persist``,
-  ``repro.store.*``, ``repro.geo.drift``) raise only their declared
-  typed errors (``PersistError``, ``DriftError``). A raw ``ValueError``
-  escaping from a load path is a traceback in the user's terminal.
+* RP901 — the persistence, plan and longitudinal layers
+  (``repro.persist``, ``repro.codec``, ``repro.store.*``,
+  ``repro.geo.drift``, ``repro.netsim.faults``) raise only their
+  declared typed errors (``PersistError``, ``DriftError``,
+  ``FaultPlanError``). A raw ``ValueError`` escaping from a load or
+  spec path is a traceback in the user's terminal.
   Programmer-contract raises (impossible-by-construction dispatch
   arms) are waived with a justified pragma.
 * RP902 — the CLI entry point (``main`` in ``repro.cli``) must route
@@ -33,14 +35,17 @@ from ..index import ProjectIndex
 #: module (exact, or prefix for packages) -> it is in RP901 scope.
 TYPED_ERROR_SCOPES: Tuple[str, ...] = (
     "repro.persist",
+    "repro.codec",
     "repro.store",
     "repro.geo.drift",
+    "repro.netsim.faults",
 )
 
 #: The canonical typed errors, by absolute dotted name.
 TYPED_ERRORS: Dict[str, str] = {
     "PersistError": "repro.persist.PersistError",
     "DriftError": "repro.geo.drift.DriftError",
+    "FaultPlanError": "repro.netsim.faults.FaultPlanError",
 }
 
 #: The CLI module and its entry point.
@@ -48,7 +53,11 @@ CLI_MODULE = "repro.cli"
 CLI_ENTRY = "main"
 
 #: Typed errors main() must handle with an exit-2 clause.
-REQUIRED_HANDLED: Tuple[str, ...] = ("PersistError", "DriftError")
+REQUIRED_HANDLED: Tuple[str, ...] = (
+    "PersistError",
+    "DriftError",
+    "FaultPlanError",
+)
 
 
 def _in_scope(module: Optional[str]) -> bool:
@@ -74,8 +83,9 @@ class TypedErrorsOnly(IndexRule):
     id = "RP901"
     name = "typed-errors-only"
     description = (
-        "persist/store/geo.drift raise only PersistError/DriftError on "
-        "user-reachable paths (raw built-ins become CLI tracebacks)."
+        "persist/codec/store/geo.drift/netsim.faults raise only "
+        "PersistError/DriftError/FaultPlanError on user-reachable paths "
+        "(raw built-ins become CLI tracebacks)."
     )
 
     def check_index(
@@ -125,7 +135,8 @@ class CliRoutesTypedErrors(FileRule):
     name = "cli-error-routing"
     description = (
         "The CLI entry point must catch every typed error "
-        "(PersistError, DriftError) and turn it into message + exit 2."
+        "(PersistError, DriftError, FaultPlanError) and turn it into "
+        "message + exit 2."
     )
 
     def applies_to(self, ctx: FileContext) -> bool:

@@ -37,18 +37,23 @@ LAYER_DEPS: Dict[str, Set[str]] = {
     # The declared telemetry name registry (RP6xx contract): pure data,
     # imports nothing; only entry points render it at runtime.
     "telemetry_registry": set(),
+    # The record codec: generic over dataclasses, imports nothing; each
+    # layer registers its own schema rows and typed error with it.
+    "codec": set(),
     "netmodel": set(),
-    "netsim": {"netmodel", "telemetry"},
+    "netsim": {"codec", "netmodel", "telemetry"},
     "services": {"netmodel", "netsim"},
     "devices": {"netmodel", "netsim", "services"},
-    "geo": {"netmodel", "netsim", "devices", "services"},
+    "geo": {"codec", "netmodel", "netsim", "devices", "services"},
     "core": {"netmodel", "netsim", "devices", "services", "geo", "telemetry"},
     # Localization consumes measurement primitives and world routing but
     # must never be imported back by them: the CenTrace classifier's
     # voting seam lives in core/centrace/attribution.py precisely so the
     # edge points localize -> core only.
     "localize": {"core", "geo", "netmodel", "netsim", "telemetry"},
-    "persist": {"core", "localize", "netmodel", "netsim", "telemetry"},
+    "persist": {
+        "codec", "core", "localize", "netmodel", "netsim", "telemetry",
+    },
     "analysis": {"core", "netmodel"},
     "baselines": {"core", "netmodel"},
     "viz": {"core", "geo", "netmodel"},
