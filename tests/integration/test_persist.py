@@ -17,6 +17,14 @@ from repro.core.cenprobe.scanner import BannerGrab, ProbeReport
 from repro.core.centrace.results import CenTraceResult, HopInfo
 from repro.localize import LocalizationVerdict, PathEvidence
 from repro.netmodel.icmp import QuoteDelta
+from repro.netsim.faults import (
+    DeliveryFaultProfile,
+    FaultPlan,
+    FlakyDeviceProfile,
+    IcmpRateLimitProfile,
+    LossProfile,
+    PathChurnProfile,
+)
 from repro.persist import (
     SERIALIZER_EXCLUDED_FIELDS,
     PersistError,
@@ -410,6 +418,13 @@ CODEC_CLASSES = (
     PathEvidence,
     LocalizationVerdict,
     Fact,
+    # Fault plans: written into meta.json provenance and unit-cache keys.
+    FaultPlan,
+    LossProfile,
+    IcmpRateLimitProfile,
+    DeliveryFaultProfile,
+    PathChurnProfile,
+    FlakyDeviceProfile,
 )
 
 #: Records decoded only inside an enclosing record, which supplies the
